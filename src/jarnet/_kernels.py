@@ -1,17 +1,19 @@
 """Hot graph kernels over CSR arrays.
 
-Compiled with numba when available; otherwise the same functions run as
-pure Python. Both paths execute identical operation sequences, so results
-match bit-for-bit. Thread counts never change results: the parallel BFS
-writes per-source slots (integers), and every float accumulation is
-sequential.
+``bfs_stats`` is plain numpy: a bit-parallel multi-source BFS (Then et
+al., "The More the Merrier", VLDB 2014) whose results are integer sums,
+so they do not depend on how sources are batched. ``brandes`` and
+``triangle_doubles`` are compiled with numba when available; otherwise
+they run as pure Python. Both paths execute identical operation
+sequences, so results match bit-for-bit, and every float accumulation is
+sequential, so thread counts never change results.
 """
 from __future__ import annotations
 
 import numpy as np
 
 try:
-    from numba import njit, prange
+    from numba import njit
     from numba import get_num_threads, set_num_threads
 
     HAVE_NUMBA = True
@@ -26,8 +28,6 @@ except ImportError:  # pragma: no cover - exercised only without the extra
             return func
 
         return wrap
-
-    prange = range
 
     def get_num_threads() -> int:
         return 1
@@ -55,40 +55,53 @@ class thread_limit:
         return False
 
 
-@njit(cache=True, parallel=True)
-def bfs_stats(indptr, indices, sources, sums, maxs, cnts):
-    """Per-source BFS: distance sum, eccentricity, reached count."""
+# Sources per bit-parallel BFS batch: eight uint64 words per vertex.
+BATCH_SOURCES = 512
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+
+
+def bfs_stats(indptr, indices, sources):
+    """Distance sum, reached pairs and diameter of a BFS from each source.
+
+    ``indptr``/``indices`` hold each vertex's predecessors, so a vertex is
+    reached at the next level from the frontier bits of its in-neighbors.
+    Sources run in batches of ``BATCH_SOURCES``, one bit each in an
+    ``(n, words)`` uint64 bitset; a level is one gather over the edges and
+    one OR-reduction per vertex. Pairs exclude the source itself. All
+    three results are integer sums or maxima, so the batch width never
+    changes them.
+    """
     n = indptr.shape[0] - 1
-    for si in prange(sources.shape[0]):
-        s = sources[si]
-        dist = np.full(n, -1, np.int64)
-        queue = np.empty(n, np.int64)
-        head = 0
-        tail = 0
-        queue[tail] = s
-        tail += 1
-        dist[s] = 0
-        total = np.int64(0)
-        far = np.int64(0)
-        cnt = np.int64(0)
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if dist[v] < 0:
-                    d = du + 1
-                    dist[v] = d
-                    queue[tail] = v
-                    tail += 1
-                    total += d
-                    cnt += 1
-                    if d > far:
-                        far = d
-        sums[si] = total
-        maxs[si] = far
-        cnts[si] = cnt
+    sources = np.asarray(sources, np.int64)
+    # reduceat gives garbage for empty segments: keep rows with predecessors.
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    total = pairs = diameter = 0
+    if rows.size == 0:
+        return total, pairs, diameter
+    for lo in range(0, sources.shape[0], BATCH_SOURCES):
+        batch = sources[lo:lo + BATCH_SOURCES]
+        bit = np.arange(batch.shape[0])
+        frontier = np.zeros((n, (batch.shape[0] + 63) // 64), np.uint64)
+        np.bitwise_or.at(frontier, (batch, bit >> 6),
+                         np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
+        visited = frontier.copy()
+        level = 0
+        while True:
+            reached = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            reached &= ~visited[rows]
+            count = int(_POPCOUNT[reached.view(np.uint8)].sum(dtype=np.int64))
+            if count == 0:
+                break
+            level += 1
+            total += level * count
+            pairs += count
+            visited[rows] |= reached
+            frontier = np.zeros_like(visited)
+            frontier[rows] = reached
+        diameter = max(diameter, level)
+    return total, pairs, diameter
 
 
 @njit(cache=True)

@@ -33,6 +33,16 @@ def _write_output(text: str, destination: str) -> None:
             fh.write(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_extract(args: argparse.Namespace) -> int:
     table = extract_archive(args.archive, tolerant=args.tolerant,
                             threads=args.threads or 1)
@@ -157,16 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="report file to write ('-' for stdout)")
     p_analyze.add_argument("--seed", type=int, default=0,
                            help="base seed for all randomized stages")
-    p_analyze.add_argument("--replicates", type=int, default=5,
+    p_analyze.add_argument("--replicates", type=_positive_int, default=5,
                            help="random baseline replicates")
-    p_analyze.add_argument("--top", type=int, default=10,
+    p_analyze.add_argument("--top", type=_positive_int, default=10,
                            help="length of the ranking lists")
     p_analyze.add_argument("--threads", type=int, default=None,
-                           help="kernel threads (never changes results)")
+                           help="betweenness and clustering kernel threads "
+                                "(never changes results)")
     paths = p_analyze.add_mutually_exclusive_group()
     paths.add_argument("--exact-paths", action="store_true",
                        help="all-sources path statistics (default)")
-    paths.add_argument("--sampled-paths", type=int, metavar="K", default=None,
+    paths.add_argument("--sampled-paths", type=_positive_int, metavar="K",
+                       default=None,
                        help="estimate path statistics from K seeded sources")
     p_analyze.add_argument("--skip", action="append", choices=STAGES,
                            default=None, metavar="STAGE",

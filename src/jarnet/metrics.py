@@ -66,12 +66,12 @@ def degrees(g: DirectedGraph) -> DegreeReport:
 
 
 def _csr_for(g, mode: str):
-    """(indptr, indices, n) in the requested orientation."""
+    """Predecessor CSR (indptr, indices, n) in the requested orientation."""
     if isinstance(g, UndirectedGraph):
         indptr, indices = g.to_csr()
         return indptr, indices, g.n
     if mode == "directed":
-        indptr, indices = g.to_csr()
+        indptr, indices = g.to_csr(reverse=True)
         return indptr, indices, g.n
     if mode == "undirected":
         proj = undirected_projection(g)
@@ -80,18 +80,10 @@ def _csr_for(g, mode: str):
     raise ValueError(f"unknown mode {mode!r}; expected 'directed' or 'undirected'")
 
 
-def _bfs_over_sources(indptr, indices, sources, threads):
-    k = sources.shape[0]
-    sums = np.zeros(k, np.int64)
-    maxs = np.zeros(k, np.int64)
-    cnts = np.zeros(k, np.int64)
-    with _kernels.thread_limit(threads):
-        _kernels.bfs_stats(indptr, indices, sources, sums, maxs, cnts)
-    total = int(sums.sum())
-    pairs = int(cnts.sum())
-    diameter = int(maxs.max()) if k else 0
+def _bfs_over_sources(indptr, indices, sources, exact) -> PathStats:
+    total, pairs, diameter = _kernels.bfs_stats(indptr, indices, sources)
     average = total / pairs if pairs else 0.0
-    return average, diameter, pairs
+    return PathStats(average, diameter, pairs, exact, int(sources.shape[0]))
 
 
 def _pick_sources(candidates: np.ndarray, sample_sources, seed):
@@ -113,14 +105,14 @@ def shortest_path_stats(
     """BFS path statistics over finite ordered pairs (u != v).
 
     With ``sample_sources`` fewer than n, averages come from a seeded
-    source subset and ``exact`` is False.
+    source subset and ``exact`` is False. ``threads`` is accepted for
+    interface compatibility and has no effect: the BFS kernel is numpy.
     """
     if g.n == 0:
         raise EmptyGraph("path statistics need at least one vertex")
     indptr, indices, n = _csr_for(g, mode)
     sources, exact = _pick_sources(np.arange(n, dtype=np.int64), sample_sources, seed)
-    average, diameter, pairs = _bfs_over_sources(indptr, indices, sources, threads)
-    return PathStats(average, diameter, pairs, exact, int(sources.shape[0]))
+    return _bfs_over_sources(indptr, indices, sources, exact)
 
 
 def avg_clustering(g, threads: int | None = None) -> float:
@@ -193,7 +185,8 @@ def giant_component_paths(
     """Path statistics restricted to the largest component.
 
     Sources are drawn from the giant component only; since BFS cannot
-    leave a component, every counted pair lies inside it.
+    leave a component, every counted pair lies inside it. ``threads``
+    has no effect, as for :func:`shortest_path_stats`.
     """
     if g.n == 0:
         raise EmptyGraph("path statistics need at least one vertex")
@@ -202,5 +195,4 @@ def giant_component_paths(
     giant = np.flatnonzero(comp.labels == comp.giant_label).astype(np.int64)
     indptr, indices = proj.to_csr()
     sources, exact = _pick_sources(giant, sample_sources, seed)
-    average, diameter, pairs = _bfs_over_sources(indptr, indices, sources, threads)
-    return PathStats(average, diameter, pairs, exact, int(sources.shape[0]))
+    return _bfs_over_sources(indptr, indices, sources, exact)

@@ -115,15 +115,14 @@ def analyze_graph(
             "giant_fraction": comp.giant_fraction,
         },
     }
+    paths: dict = {}
     if "paths" in skip:
         summary["paths"] = dict(_SKIPPED)
     else:
-        summary["paths"] = {
-            mode: asdict(shortest_path_stats(
-                g, mode=mode, sample_sources=sample_sources,
-                seed=seed, threads=threads))
-            for mode in ("directed", "undirected")
-        }
+        paths = {mode: shortest_path_stats(
+                     g, mode=mode, sample_sources=sample_sources, seed=seed)
+                 for mode in ("directed", "undirected")}
+        summary["paths"] = {mode: asdict(stats) for mode, stats in paths.items()}
 
     degree_vector = CentralityVector(
         "degree", list(g.labels), deg.total_degrees.astype(np.float64))
@@ -160,7 +159,9 @@ def analyze_graph(
         try:
             small_world = asdict(small_world_test(
                 g, replicates=replicates, seed=seed,
-                sample_sources=sample_sources, threads=threads))
+                sample_sources=sample_sources, threads=threads,
+                c_real=summary["clustering"],
+                real_paths=paths.get("undirected")))
         except DegenerateGraph as exc:
             small_world = {"error": f"{type(exc).__name__}: {exc}"}
             errors_seen = True

@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import DegenerateGraph, DegenerateHistogram
 from .graph import DirectedGraph, UndirectedGraph, undirected_projection
-from .metrics import avg_clustering, giant_component_paths, shortest_path_stats
+from .metrics import PathStats, avg_clustering, giant_component_paths, \
+    shortest_path_stats
 
 __all__ = [
     "SmallWorldReport",
@@ -119,6 +120,8 @@ def small_world_test(
     seed: int = 0,
     sample_sources: int | None = None,
     threads: int | None = None,
+    c_real: float | None = None,
+    real_paths: PathStats | None = None,
 ) -> SmallWorldReport:
     """Compare clustering and path length against same-density G(n, p).
 
@@ -127,23 +130,29 @@ def small_world_test(
     path stays within 10x of the random mean. Replicate i uses seed+i;
     random path lengths are measured inside each replicate's largest
     component.
+
+    ``c_real`` and ``real_paths`` take the real graph's clustering and
+    undirected path statistics when the caller has them already; they
+    must come from the same ``sample_sources`` and ``seed``. Missing
+    values are computed here.
     """
     proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
     if proj.n < 2:
         raise DegenerateGraph("small-world comparison needs >= 2 vertices")
     p = link_probability(proj.m, proj.n)
-    c_real = avg_clustering(proj, threads=threads)
-    real_stats = shortest_path_stats(proj, sample_sources=sample_sources,
-                                     seed=seed, threads=threads)
-    d_real = real_stats.average
+    if c_real is None:
+        c_real = avg_clustering(proj, threads=threads)
+    if real_paths is None:
+        real_paths = shortest_path_stats(proj, sample_sources=sample_sources,
+                                         seed=seed)
+    d_real = real_paths.average
     random_cs: list[float] = []
     random_ds: list[float] = []
     for i in range(replicates):
         replica = erdos_renyi(proj.n, p, seed=seed + i)
         random_cs.append(float(avg_clustering(replica, threads=threads)))
         random_ds.append(giant_component_paths(
-            replica, sample_sources=sample_sources, seed=seed + i,
-            threads=threads).average)
+            replica, sample_sources=sample_sources, seed=seed + i).average)
     c_random_mean = sum(random_cs) / replicates if replicates else 0.0
     d_random_mean = sum(random_ds) / replicates if replicates else 0.0
     clustering_ok = c_real > 0.0 and (
@@ -160,7 +169,7 @@ def small_world_test(
         verdict=clustering_ok and distance_ok,
         replicates=replicates,
         seed=seed,
-        paths_exact=real_stats.exact,
+        paths_exact=real_paths.exact,
         random_clusterings=random_cs,
         random_path_lengths=random_ds,
     )

@@ -152,6 +152,18 @@ def test_analyze_triangle_known_values(tmp_path, capsys):
     assert report["incomplete"] is True
 
 
+@pytest.mark.parametrize("flag", ["--sampled-paths", "--top", "--replicates"])
+@pytest.mark.parametrize("value", ["-1", "0", "two"])
+def test_analyze_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    gexf = _triangle_gexf(tmp_path)
+    out = tmp_path / "report.json"
+    code, _, stderr = run(["analyze", str(gexf), "-o", str(out), flag, value],
+                          capsys)
+    assert code == 1
+    assert flag in stderr
+    assert not out.exists()
+
+
 def test_analyze_reports_are_byte_identical(medium_jar, tmp_path, capsys):
     gexf = _extract_and_build(medium_jar, tmp_path, capsys, prefix="app")
     args = ["analyze", str(gexf), "--seed", "7", "--replicates", "2",

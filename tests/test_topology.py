@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from jarnet import topology
 from jarnet.errors import DegenerateGraph, DegenerateHistogram
 from jarnet.graph import DirectedGraph
 from jarnet.metrics import avg_clustering, shortest_path_stats
@@ -110,6 +111,31 @@ def test_small_world_report_fields_and_determinism():
     assert len(a.random_clusterings) == 3
     assert a.p == pytest.approx(link_probability(g.m, g.n))
     assert a.d_random_mean == pytest.approx(np.mean(a.random_path_lengths))
+
+
+@pytest.mark.parametrize("sample_sources", [None, 9])
+def test_small_world_reuses_given_real_values(monkeypatch, sample_sources):
+    g = random_digraph(40, 0.08, random.Random(4))
+    expected = small_world_test(g, replicates=2, seed=5,
+                                sample_sources=sample_sources)
+    c_real = avg_clustering(g)
+    real_paths = shortest_path_stats(g, mode="undirected",
+                                     sample_sources=sample_sources, seed=5)
+    clustered = []
+
+    def replicate_clustering(graph, threads=None):
+        clustered.append(graph)
+        return avg_clustering(graph, threads=threads)
+
+    def no_real_paths(*_args, **_kwargs):
+        raise AssertionError("real-graph paths recomputed")
+
+    monkeypatch.setattr(topology, "avg_clustering", replicate_clustering)
+    monkeypatch.setattr(topology, "shortest_path_stats", no_real_paths)
+    reused = small_world_test(g, replicates=2, seed=5, sample_sources=sample_sources,
+                              c_real=c_real, real_paths=real_paths)
+    assert reused == expected
+    assert len(clustered) == 2  # the replicates only
 
 
 def test_small_world_zero_baseline_clustering_satisfied_by_any_positive():
