@@ -33,7 +33,8 @@ def betweenness(
     The undirected variant runs on the projection and halves the scores so
     each unordered pair is counted once. Normalization divides by the number
     of pairs that could route through a vertex: (n-1)(n-2) directed,
-    (n-1)(n-2)/2 undirected.
+    (n-1)(n-2)/2 undirected. ``threads`` is accepted for interface
+    compatibility and has no effect: the kernel is numpy.
     """
     if g.n == 0:
         raise EmptyGraph("betweenness needs at least one vertex")
@@ -45,8 +46,7 @@ def betweenness(
         proj = undirected_projection(g)
         indptr, indices = proj.to_csr()
         rindptr, rindices = indptr, indices
-    with _kernels.thread_limit(threads):
-        scores = _kernels.brandes(indptr, indices, rindptr, rindices)
+    scores = _kernels.brandes(indptr, indices, rindptr, rindices)
     if not directed:
         scores /= 2.0
     if normalized:

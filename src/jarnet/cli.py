@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--top", type=_positive_int, default=10,
                            help="length of the ranking lists")
     p_analyze.add_argument("--threads", type=int, default=None,
-                           help="betweenness and clustering kernel threads "
-                                "(never changes results)")
+                           help="accepted for compatibility; no effect, "
+                                "every analysis kernel is single-threaded numpy")
     paths = p_analyze.add_mutually_exclusive_group()
     paths.add_argument("--exact-paths", action="store_true",
                        help="all-sources path statistics (default)")

@@ -119,20 +119,33 @@ def avg_clustering(g, threads: int | None = None) -> float:
     """Mean local clustering coefficient of the undirected projection.
 
     Vertices of degree < 2 contribute zero; self-loops are ignored.
+    ``threads`` has no effect, as for :func:`shortest_path_stats`.
     """
     if g.n == 0:
         raise EmptyGraph("clustering needs at least one vertex")
     proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
     indptr, indices = proj.to_csr()
-    with _kernels.thread_limit(threads):
-        tri2 = _kernels.triangle_doubles(indptr, indices)
+    tri2 = _kernels.triangle_doubles(indptr, indices)
     deg = np.diff(indptr)
-    total = 0.0
-    for v in range(proj.n):
-        d = int(deg[v])
-        if d >= 2:
-            total += int(tri2[v]) / (d * (d - 1))
-    return total / proj.n
+    # A vertex of degree < 2 has no triangles, so it contributes 0 / 1.
+    local = tri2 / np.maximum(deg * (deg - 1), 1)
+    # cumsum adds in vertex order, like a running total; sum() would not.
+    return float(np.cumsum(local)[-1]) / proj.n
+
+
+def _components_from_csr(indptr, indices) -> ComponentReport:
+    labels = _kernels.component_labels(indptr, indices)
+    sizes = np.bincount(labels)
+    giant_label = int(np.argmax(sizes))
+    giant_size = int(sizes[giant_label])
+    return ComponentReport(
+        labels=labels,
+        count=int(sizes.shape[0]),
+        sizes=tuple(sizes.tolist()),
+        giant_label=giant_label,
+        giant_size=giant_size,
+        giant_fraction=giant_size / labels.shape[0],
+    )
 
 
 def components(g) -> ComponentReport:
@@ -140,40 +153,7 @@ def components(g) -> ComponentReport:
     if g.n == 0:
         raise EmptyGraph("component analysis needs at least one vertex")
     proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
-    indptr, indices = proj.to_csr()
-    n = proj.n
-    labels = np.full(n, -1, np.int64)
-    sizes: list[int] = []
-    queue = np.empty(n, np.int64)
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        comp = len(sizes)
-        labels[start] = comp
-        head, tail = 0, 1
-        queue[0] = start
-        size = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if labels[v] < 0:
-                    labels[v] = comp
-                    queue[tail] = v
-                    tail += 1
-                    size += 1
-        sizes.append(size)
-    giant_label = int(np.argmax(sizes))
-    giant_size = sizes[giant_label]
-    return ComponentReport(
-        labels=labels,
-        count=len(sizes),
-        sizes=tuple(sizes),
-        giant_label=giant_label,
-        giant_size=giant_size,
-        giant_fraction=giant_size / n,
-    )
+    return _components_from_csr(*proj.to_csr())
 
 
 def giant_component_paths(
@@ -191,8 +171,8 @@ def giant_component_paths(
     if g.n == 0:
         raise EmptyGraph("path statistics need at least one vertex")
     proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
-    comp = components(proj)
-    giant = np.flatnonzero(comp.labels == comp.giant_label).astype(np.int64)
     indptr, indices = proj.to_csr()
+    comp = _components_from_csr(indptr, indices)
+    giant = np.flatnonzero(comp.labels == comp.giant_label).astype(np.int64)
     sources, exact = _pick_sources(giant, sample_sources, seed)
     return _bfs_over_sources(indptr, indices, sources, exact)

@@ -91,6 +91,8 @@ def analyze_graph(
     marker. Degenerate-input failures in the small-world or power-law
     stages are recorded in place as ``{"error": ...}`` rather than
     aborting. Either condition marks the whole report incomplete.
+    ``threads`` is accepted for interface compatibility and has no
+    effect: every analysis kernel is single-threaded numpy.
     """
     unknown = set(skip) - set(STAGES)
     if unknown:
@@ -108,7 +110,7 @@ def analyze_graph(
         "edges": g.m,
         "kind_counts": kind_counts,
         "avg_degree": deg.avg_degree,
-        "clustering": avg_clustering(g, threads=threads),
+        "clustering": avg_clustering(g),
         "components": {
             "count": comp.count,
             "giant_size": comp.giant_size,
@@ -131,7 +133,7 @@ def analyze_graph(
         rankings["betweenness"] = dict(_SKIPPED)
     else:
         rankings["betweenness"] = _rank_rows(
-            top_k(betweenness(g, threads=threads), top))
+            top_k(betweenness(g), top))
     rankings["pagerank"] = _rank_rows(top_k(pagerank(g), top))
 
     histograms = {which: degree_histogram(g, which=which)
@@ -159,7 +161,7 @@ def analyze_graph(
         try:
             small_world = asdict(small_world_test(
                 g, replicates=replicates, seed=seed,
-                sample_sources=sample_sources, threads=threads,
+                sample_sources=sample_sources,
                 c_real=summary["clustering"],
                 real_paths=paths.get("undirected")))
         except DegenerateGraph as exc:

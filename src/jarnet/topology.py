@@ -134,14 +134,14 @@ def small_world_test(
     ``c_real`` and ``real_paths`` take the real graph's clustering and
     undirected path statistics when the caller has them already; they
     must come from the same ``sample_sources`` and ``seed``. Missing
-    values are computed here.
+    values are computed here. ``threads`` has no effect.
     """
     proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
     if proj.n < 2:
         raise DegenerateGraph("small-world comparison needs >= 2 vertices")
     p = link_probability(proj.m, proj.n)
     if c_real is None:
-        c_real = avg_clustering(proj, threads=threads)
+        c_real = avg_clustering(proj)
     if real_paths is None:
         real_paths = shortest_path_stats(proj, sample_sources=sample_sources,
                                          seed=seed)
@@ -150,7 +150,7 @@ def small_world_test(
     random_ds: list[float] = []
     for i in range(replicates):
         replica = erdos_renyi(proj.n, p, seed=seed + i)
-        random_cs.append(float(avg_clustering(replica, threads=threads)))
+        random_cs.append(float(avg_clustering(replica)))
         random_ds.append(giant_component_paths(
             replica, sample_sources=sample_sources, seed=seed + i).average)
     c_random_mean = sum(random_cs) / replicates if replicates else 0.0
