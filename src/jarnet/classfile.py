@@ -62,34 +62,10 @@ OP_LOOKUPSWITCH = 0xAB
 OP_WIDE = 0xC4
 OP_IINC = 0x84
 
-
-class _Reader:
-    __slots__ = ("data", "pos", "entry")
-
-    def __init__(self, data: bytes, entry: str):
-        self.data = data
-        self.pos = 0
-        self.entry = entry
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise TruncatedClassFile(f"{self.entry}: truncated at byte {self.pos}")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u1(self) -> int:
-        return self.take(1)[0]
-
-    def u2(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u4(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def skip(self, count: int) -> None:
-        self.take(count)
+# Instruction length by opcode, operands included: 0 for a byte that is no
+# opcode, -1 for the switches and wide, whose length depends on the stream.
+_LENGTHS = [1 + _OPERANDS[op] if op in _OPERANDS else 0 for op in range(256)]
+_LENGTHS[OP_TABLESWITCH] = _LENGTHS[OP_LOOKUPSWITCH] = _LENGTHS[OP_WIDE] = -1
 
 
 def _decode_mutf8(raw: bytes) -> str:
@@ -104,71 +80,58 @@ def _decode_mutf8(raw: bytes) -> str:
             return raw.decode("utf-8", "replace")
 
 
+def _bad_index(tags: dict[int, int], index: int, what: str) -> MalformedConstantPool:
+    tag = tags.get(index)
+    if tag is None:
+        return MalformedConstantPool(f"constant index {index} out of range")
+    return MalformedConstantPool(f"constant {index} is not {what} (tag {tag})")
+
+
+@dataclass
 class ConstantPool:
-    """1-based entry list; Long/Double leave a None gap in the next slot."""
+    """A validated constant pool with every cross-reference resolved.
 
-    def __init__(self, entries: list):
-        self._entries = entries
+    ``tags`` maps each 1-based index that holds an entry to its tag; the
+    slot after a Long or Double holds none. Each other table maps the
+    indices of one kind of entry to its resolved value: ``utf8s`` to
+    text, ``classes`` to an internal class name, ``nats`` to ``(name,
+    descriptor)``, ``field_refs`` to ``(class, name, descriptor)`` and
+    ``method_refs`` (Methodref and InterfaceMethodref) to ``(class, name,
+    descriptor, is_interface)``. The lookup methods raise
+    MalformedConstantPool for an index that does not hold the kind asked for.
+    """
 
-    def _entry(self, index: int):
-        if not 1 <= index < len(self._entries) or self._entries[index] is None:
-            raise MalformedConstantPool(f"constant index {index} out of range")
-        return self._entries[index]
+    tags: dict[int, int]
+    utf8s: dict[int, str]
+    classes: dict[int, str]
+    nats: dict[int, tuple[str, str]]
+    field_refs: dict[int, tuple[str, str, str]]
+    method_refs: dict[int, tuple[str, str, str, bool]]
+
+    def _lookup(self, table: dict, index: int, what: str):
+        value = table.get(index)
+        if value is None:
+            raise _bad_index(self.tags, index, what)
+        return value
 
     def tag(self, index: int) -> int:
-        return self._entry(index)[0]
+        return self._lookup(self.tags, index, "an entry")
 
     def utf8(self, index: int) -> str:
-        tag, payload = self._entry(index)
-        if tag != TAG_UTF8:
-            raise MalformedConstantPool(f"constant {index} is not Utf8 (tag {tag})")
-        return payload
+        return self._lookup(self.utf8s, index, "Utf8")
 
     def class_name(self, index: int) -> str:
-        tag, payload = self._entry(index)
-        if tag != TAG_CLASS:
-            raise MalformedConstantPool(f"constant {index} is not Class (tag {tag})")
-        return self.utf8(payload)
+        return self._lookup(self.classes, index, "Class")
 
     def name_and_type(self, index: int) -> tuple[str, str]:
-        tag, payload = self._entry(index)
-        if tag != TAG_NAT:
-            raise MalformedConstantPool(f"constant {index} is not NameAndType")
-        return self.utf8(payload[0]), self.utf8(payload[1])
+        return self._lookup(self.nats, index, "NameAndType")
 
     def method_ref(self, index: int) -> tuple[str, str, str, bool]:
         """Returns (class internal name, method name, descriptor, is_interface)."""
-        tag, payload = self._entry(index)
-        if tag not in (TAG_METHODREF, TAG_IMETHODREF):
-            raise MalformedConstantPool(f"constant {index} is not a method ref")
-        name, desc = self.name_and_type(payload[1])
-        return self.class_name(payload[0]), name, desc, tag == TAG_IMETHODREF
+        return self._lookup(self.method_refs, index, "a method ref")
 
     def field_ref(self, index: int) -> tuple[str, str, str]:
-        tag, payload = self._entry(index)
-        if tag != TAG_FIELDREF:
-            raise MalformedConstantPool(f"constant {index} is not a field ref")
-        name, desc = self.name_and_type(payload[1])
-        return self.class_name(payload[0]), name, desc
-
-    def validate(self) -> None:
-        """Eagerly resolve every cross-reference so later lookups cannot fail."""
-        for index, entry in enumerate(self._entries):
-            if entry is None:
-                continue
-            tag, payload = entry
-            if tag in (TAG_CLASS, TAG_STRING, TAG_METHODTYPE, TAG_MODULE, TAG_PACKAGE):
-                self.utf8(payload)
-            elif tag == TAG_NAT:
-                self.utf8(payload[0])
-                self.utf8(payload[1])
-            elif tag in (TAG_FIELDREF, TAG_METHODREF, TAG_IMETHODREF):
-                self.class_name(payload[0])
-                self.name_and_type(payload[1])
-            elif tag in (TAG_DYNAMIC, TAG_INVOKEDYNAMIC):
-                self.name_and_type(payload[1])
-            elif tag == TAG_METHODHANDLE:
-                self._entry(payload[1])
+        return self._lookup(self.field_refs, index, "a field ref")
 
 
 @dataclass
@@ -194,89 +157,192 @@ class ClassUnit:
         return bool(self.access_flags & ACC_INTERFACE)
 
 
-def _parse_pool(r: _Reader) -> ConstantPool:
-    count = r.u2()
-    entries: list = [None] * count
+_U2 = struct.Struct(">H").unpack_from
+_U2U2 = struct.Struct(">HH").unpack_from
+_U2U4 = struct.Struct(">HI").unpack_from
+_U2X4 = struct.Struct(">HHHH").unpack_from
+_U4 = struct.Struct(">I").unpack_from
+_I4 = struct.Struct(">i").unpack_from
+_I4I4 = struct.Struct(">ii").unpack_from
+
+_REF_TAGS = (TAG_FIELDREF, TAG_METHODREF, TAG_IMETHODREF)
+_UTF8_REF_TAGS = (TAG_STRING, TAG_METHODTYPE, TAG_MODULE, TAG_PACKAGE)
+
+# Offsets are absolute and only grow. A fixed-size read past the end
+# raises struct.error, which parse_class reports as TruncatedClassFile. A
+# slice or skip past the end leaves the offset past the end, so the next
+# read fails, or the final check in parse_class does; nothing read from a
+# short slice is ever returned.
+
+
+def _read_pool(data: bytes, entry: str) -> tuple[ConstantPool, int]:
+    """Read the constant pool at offset 8 and resolve every cross-reference.
+
+    Returns the pool and the offset of the first byte after it.
+    """
+    (count,) = _U2(data, 8)
+    size = len(data)
+    pos = 10
+    tags: dict[int, int] = {}
+    utf8s: dict[int, str] = {}
+    class_slots = []  # (index, name index)
+    nat_slots = []    # (index, name index, descriptor index)
+    ref_slots = []    # (index, tag, class index, name-and-type index)
+    utf8_uses = []    # name indices of String, MethodType, Module, Package
+    nat_uses = []     # name-and-type indices of Dynamic, InvokeDynamic
+    entry_uses = []   # reference indices of MethodHandle
     index = 1
     while index < count:
-        tag = r.u1()
+        if pos >= size:
+            raise TruncatedClassFile(f"{entry}: truncated in constant {index}")
+        tag = data[pos]
+        tags[index] = tag
         if tag == TAG_UTF8:
-            entries[index] = (tag, _decode_mutf8(r.take(r.u2())))
-        elif tag in (TAG_INTEGER, TAG_FLOAT):
-            entries[index] = (tag, r.take(4))
-        elif tag in (TAG_LONG, TAG_DOUBLE):
-            entries[index] = (tag, r.take(8))
+            (length,) = _U2(data, pos + 1)
+            start = pos + 3
+            pos = start + length
+            utf8s[index] = _decode_mutf8(data[start:pos])
+        elif tag == TAG_CLASS:
+            class_slots.append((index, _U2(data, pos + 1)[0]))
+            pos += 3
+        elif tag in _REF_TAGS:
+            ref_slots.append((index, tag, *_U2U2(data, pos + 1)))
+            pos += 5
+        elif tag == TAG_NAT:
+            nat_slots.append((index, *_U2U2(data, pos + 1)))
+            pos += 5
+        elif tag in _UTF8_REF_TAGS:
+            utf8_uses.append(_U2(data, pos + 1)[0])
+            pos += 3
+        elif tag == TAG_INTEGER or tag == TAG_FLOAT:
+            pos += 5
+        elif tag == TAG_LONG or tag == TAG_DOUBLE:
+            pos += 9
             index += 1  # wide entries own the next slot too
-        elif tag in (TAG_CLASS, TAG_STRING, TAG_METHODTYPE, TAG_MODULE, TAG_PACKAGE):
-            entries[index] = (tag, r.u2())
+        elif tag == TAG_DYNAMIC or tag == TAG_INVOKEDYNAMIC:
+            nat_uses.append(_U2(data, pos + 3)[0])  # after the bootstrap index
+            pos += 5
         elif tag == TAG_METHODHANDLE:
-            entries[index] = (tag, (r.u1(), r.u2()))
-        elif tag in (TAG_FIELDREF, TAG_METHODREF, TAG_IMETHODREF, TAG_NAT,
-                     TAG_DYNAMIC, TAG_INVOKEDYNAMIC):
-            entries[index] = (tag, (r.u2(), r.u2()))
+            entry_uses.append(_U2(data, pos + 2)[0])  # after the kind byte
+            pos += 4
         else:
-            raise MalformedConstantPool(f"{r.entry}: unknown constant tag {tag} at {index}")
+            raise MalformedConstantPool(f"{entry}: unknown constant tag {tag} at {index}")
         index += 1
-    return ConstantPool(entries)
 
-
-def _skip_attributes(r: _Reader) -> None:
-    for _ in range(r.u2()):
-        r.u2()
-        r.skip(r.u4())
-
-
-def _parse_code_attribute(r: _Reader) -> bytes:
-    r.skip(4)  # max_stack, max_locals
-    code = r.take(r.u4())
-    r.skip(8 * r.u2())  # exception table
-    _skip_attributes(r)
-    return code
-
-
-def _parse_methods(r: _Reader, pool: ConstantPool) -> list[MethodInfo]:
-    methods = []
-    for _ in range(r.u2()):
-        access = r.u2()
-        name = pool.utf8(r.u2())
-        descriptor = pool.utf8(r.u2())
-        code = None
-        for _ in range(r.u2()):
-            attr_name = pool.utf8(r.u2())
-            length = r.u4()
-            if attr_name == "Code" and code is None:
-                end = r.pos + length
-                code = _parse_code_attribute(r)
-                if r.pos != end:
-                    raise TruncatedClassFile(f"{r.entry}: Code attribute length mismatch")
-            else:
-                r.skip(length)
-        methods.append(MethodInfo(name, descriptor, access, code))
-    return methods
+    classes: dict[int, str] = {}
+    for index, name_index in class_slots:
+        name = utf8s.get(name_index)
+        if name is None:
+            raise _bad_index(tags, name_index, "Utf8")
+        classes[index] = name
+    nats: dict[int, tuple[str, str]] = {}
+    for index, name_index, desc_index in nat_slots:
+        name = utf8s.get(name_index)
+        desc = utf8s.get(desc_index)
+        if name is None or desc is None:
+            raise _bad_index(tags, name_index if name is None else desc_index, "Utf8")
+        nats[index] = (name, desc)
+    field_refs: dict[int, tuple[str, str, str]] = {}
+    method_refs: dict[int, tuple[str, str, str, bool]] = {}
+    for index, tag, class_index, nat_index in ref_slots:
+        cls = classes.get(class_index)
+        if cls is None:
+            raise _bad_index(tags, class_index, "Class")
+        nat = nats.get(nat_index)
+        if nat is None:
+            raise _bad_index(tags, nat_index, "NameAndType")
+        if tag == TAG_FIELDREF:
+            field_refs[index] = (cls, *nat)
+        else:
+            method_refs[index] = (cls, *nat, tag == TAG_IMETHODREF)
+    for table, uses, what in ((utf8s, utf8_uses, "Utf8"), (nats, nat_uses, "NameAndType"),
+                              (tags, entry_uses, "an entry")):
+        for used in uses:
+            if used not in table:
+                raise _bad_index(tags, used, what)
+    return ConstantPool(tags, utf8s, classes, nats, field_refs, method_refs), pos
 
 
 def parse_class(data: bytes, entry: str = "<bytes>") -> ClassUnit:
     """Parse one class file into a ClassUnit with a validated constant pool."""
-    r = _Reader(data, entry)
-    if r.u4() != MAGIC:
-        raise BadMagic(f"{entry}: not a class file")
-    minor = r.u2()
-    major = r.u2()
-    if major < MIN_MAJOR:
-        raise UnsupportedVersion(f"{entry}: class file version {major}.{minor}")
-    pool = _parse_pool(r)
-    pool.validate()
-    access_flags = r.u2()
-    name = pool.class_name(r.u2())
-    super_index = r.u2()
-    super_name = pool.class_name(super_index) if super_index else None
-    interfaces = [pool.class_name(r.u2()) for _ in range(r.u2())]
-    for _ in range(r.u2()):  # fields: access, name, descriptor, attributes
-        r.skip(6)
-        _skip_attributes(r)
-    methods = _parse_methods(r, pool)
+    try:
+        if _U4(data, 0)[0] != MAGIC:
+            raise BadMagic(f"{entry}: not a class file")
+        minor, major = _U2U2(data, 4)
+        if major < MIN_MAJOR:
+            raise UnsupportedVersion(f"{entry}: class file version {major}.{minor}")
+        pool, pos = _read_pool(data, entry)
+        access_flags, this_index, super_index, n_interfaces = _U2X4(data, pos)
+        pos += 8
+        name = pool.class_name(this_index)
+        super_name = pool.class_name(super_index) if super_index else None
+        interfaces = [pool.class_name(index) for index in
+                      struct.unpack_from(f">{n_interfaces}H", data, pos)]
+        pos += 2 * n_interfaces
+        (n_fields,) = _U2(data, pos)
+        pos += 2
+        for _ in range(n_fields):  # access, name, descriptor, attributes
+            (n_attrs,) = _U2(data, pos + 6)
+            pos += 8
+            for _ in range(n_attrs):
+                pos += 6 + _U4(data, pos + 2)[0]
+        methods = []
+        (n_methods,) = _U2(data, pos)
+        pos += 2
+        for _ in range(n_methods):
+            access, name_index, desc_index, n_attrs = _U2X4(data, pos)
+            pos += 8
+            method_name = pool.utf8(name_index)
+            descriptor = pool.utf8(desc_index)
+            code = None
+            for _ in range(n_attrs):
+                attr_index, length = _U2U4(data, pos)
+                pos += 6
+                end = pos + length
+                if pool.utf8(attr_index) == "Code" and code is None:
+                    # max_stack, max_locals, code, exception table, attributes
+                    start = pos + 8
+                    pos = start + _U4(data, pos + 4)[0]
+                    code = data[start:pos]
+                    pos += 2 + 8 * _U2(data, pos)[0]
+                    (n_code_attrs,) = _U2(data, pos)
+                    pos += 2
+                    for _ in range(n_code_attrs):
+                        pos += 6 + _U4(data, pos + 2)[0]
+                    if pos != end:
+                        raise TruncatedClassFile(f"{entry}: Code attribute length mismatch")
+                pos = end
+            methods.append(MethodInfo(method_name, descriptor, access, code))
+        if pos > len(data):
+            raise TruncatedClassFile(f"{entry}: truncated at byte {len(data)}")
+    except struct.error as exc:
+        raise TruncatedClassFile(f"{entry}: truncated ({exc})") from None
     return ClassUnit(name, super_name, access_flags, (major, minor),
                      interfaces, methods, pool)
+
+
+def _switch_length(code: bytes, pos: int, op: int) -> int:
+    """Length of the tableswitch, lookupswitch or wide instruction at pos."""
+    size = len(code)
+    if op == OP_WIDE:
+        if pos + 1 >= size:
+            raise TruncatedClassFile(f"truncated wide at {pos}")
+        return 6 if code[pos + 1] == OP_IINC else 4
+    pad = (4 - ((pos + 1) % 4)) % 4
+    base = pos + 1 + pad
+    if op == OP_TABLESWITCH:
+        if base + 12 > size:
+            raise TruncatedClassFile(f"truncated tableswitch at {pos}")
+        low, high = _I4I4(code, base + 4)
+        if high < low:
+            raise TruncatedClassFile(f"tableswitch bounds at {pos}")
+        return 1 + pad + 12 + 4 * (high - low + 1)
+    if base + 8 > size:
+        raise TruncatedClassFile(f"truncated lookupswitch at {pos}")
+    (npairs,) = _I4(code, base + 4)
+    if npairs < 0:
+        raise TruncatedClassFile(f"lookupswitch pair count at {pos}")
+    return 1 + pad + 8 + 8 * npairs
 
 
 def instructions(code: bytes):
@@ -288,35 +354,16 @@ def instructions(code: bytes):
     """
     pos = 0
     size = len(code)
+    lengths = _LENGTHS
     while pos < size:
         op = code[pos]
-        if op == OP_TABLESWITCH or op == OP_LOOKUPSWITCH:
-            pad = (4 - ((pos + 1) % 4)) % 4
-            base = pos + 1 + pad
-            if op == OP_TABLESWITCH:
-                if base + 12 > size:
-                    raise TruncatedClassFile(f"truncated tableswitch at {pos}")
-                low, high = struct.unpack(">ii", code[base + 4:base + 12])
-                if high < low:
-                    raise TruncatedClassFile(f"tableswitch bounds at {pos}")
-                length = 1 + pad + 12 + 4 * (high - low + 1)
-            else:
-                if base + 8 > size:
-                    raise TruncatedClassFile(f"truncated lookupswitch at {pos}")
-                (npairs,) = struct.unpack(">i", code[base + 4:base + 8])
-                if npairs < 0:
-                    raise TruncatedClassFile(f"lookupswitch pair count at {pos}")
-                length = 1 + pad + 8 + 8 * npairs
-        elif op == OP_WIDE:
-            if pos + 1 >= size:
-                raise TruncatedClassFile(f"truncated wide at {pos}")
-            length = 6 if code[pos + 1] == OP_IINC else 4
-        else:
-            operands = _OPERANDS.get(op)
-            if operands is None:
+        length = lengths[op]
+        if length <= 0:
+            if not length:
                 raise UnknownOpcode(f"opcode 0x{op:02x} at offset {pos}")
-            length = 1 + operands
-        if pos + length > size:
+            length = _switch_length(code, pos, op)
+        end = pos + length
+        if end > size:
             raise TruncatedClassFile(f"instruction at {pos} runs past end of code")
-        yield pos, op, code[pos + 1:pos + length]
-        pos += length
+        yield pos, op, code[pos + 1:end]
+        pos = end

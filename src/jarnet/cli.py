@@ -44,8 +44,7 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    table = extract_archive(args.archive, tolerant=args.tolerant,
-                            threads=args.threads or 1)
+    table = extract_archive(args.archive, tolerant=args.tolerant)
     write_relation_table(table, args.output, format=args.format,
                          with_descriptors=args.descriptors)
     stats = table.stats
@@ -145,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--tolerant", action="store_true",
                            help="skip undecodable class entries instead of failing")
     p_extract.add_argument("--threads", type=int, default=None,
-                           help="parallel class-parsing threads")
+                           help="accepted for compatibility; no effect, "
+                                "class files are parsed in one thread")
     p_extract.set_defaults(func=_cmd_extract)
 
     p_build = sub.add_parser(

@@ -6,9 +6,7 @@ call sites in bytecode order) followed by the class-level usage rows
 """
 from __future__ import annotations
 
-import struct
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .classfile import ClassUnit, instructions, parse_class
@@ -17,7 +15,6 @@ from .errors import (
     ArchiveNotFound,
     ClassFormatError,
     EntryDecodeError,
-    MalformedConstantPool,
     UnknownOpcode,
 )
 from .names import CallRecord, ExtractStats, QualifiedName, RelationTable, UnitKind
@@ -39,13 +36,18 @@ OP_MULTIANEWARRAY = 0xC5
 OP_LDC = 0x12
 OP_LDC_W = 0x13
 
-_FIELD_OPS = frozenset((OP_GETSTATIC, OP_PUTSTATIC, OP_GETFIELD, OP_PUTFIELD))
-_TYPE_OPS = frozenset((OP_NEW, OP_ANEWARRAY, OP_CHECKCAST, OP_INSTANCEOF,
-                       OP_MULTIANEWARRAY))
-_INVOKE_OPS = frozenset((OP_INVOKEVIRTUAL, OP_INVOKESPECIAL, OP_INVOKESTATIC,
-                         OP_INVOKEINTERFACE))
-
-_TAG_CLASS = 7
+# What extract_calls does at an opcode: resolve a method ref, count an
+# unresolvable site, or note the class of a field ref or class constant.
+# Every other opcode is only walked over.
+_INVOKE, _DYNAMIC, _FIELD, _CLASS = range(4)
+_SITES = {
+    **dict.fromkeys((OP_INVOKEVIRTUAL, OP_INVOKESPECIAL, OP_INVOKESTATIC,
+                     OP_INVOKEINTERFACE), _INVOKE),
+    OP_INVOKEDYNAMIC: _DYNAMIC,
+    **dict.fromkeys((OP_GETSTATIC, OP_PUTSTATIC, OP_GETFIELD, OP_PUTFIELD), _FIELD),
+    **dict.fromkeys((OP_NEW, OP_ANEWARRAY, OP_CHECKCAST, OP_INSTANCEOF,
+                     OP_MULTIANEWARRAY, OP_LDC, OP_LDC_W), _CLASS),
+}
 
 
 def classify_callee(opcode: int, method_name: str,
@@ -81,9 +83,10 @@ def _element_class(internal: str) -> str | None:
 def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
     """All records for one class, plus the site/reference counters."""
     pool = unit.constants
-    stats = ExtractStats(entries_scanned=1)
+    classes, field_refs, method_refs = pool.classes, pool.field_refs, pool.method_refs
     records: list[CallRecord] = []
     class_refs: dict[str, None] = {}
+    call_sites = unresolved_sites = bad_code_methods = 0
 
     def note_class_ref(internal: str) -> None:
         element = _element_class(internal)
@@ -93,53 +96,50 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
     for method in unit.methods:
         if method.code is None:
             continue
-        caller = QualifiedName.from_internal(unit.name, method.name, method.descriptor)
+        caller = None  # built at the method's first resolved call
         try:
             for _, op, operands in instructions(method.code):
-                if op in _INVOKE_OPS:
-                    stats.call_sites += 1
-                    index = struct.unpack(">H", operands[:2])[0]
-                    try:
-                        cls, name, desc, is_iface = pool.method_ref(index)
-                    except MalformedConstantPool:
-                        stats.unresolved_sites += 1
+                site = _SITES.get(op)
+                if site is None:
+                    continue
+                # the pool index: one byte for ldc, the first two otherwise
+                index = int.from_bytes(operands[:2], "big")
+                if site == _INVOKE:
+                    call_sites += 1
+                    ref = method_refs.get(index)
+                    if ref is None:
+                        unresolved_sites += 1
                         continue
+                    cls, name, desc, is_iface = ref
+                    if caller is None:
+                        caller = QualifiedName.from_internal(unit.name, method.name,
+                                                             method.descriptor)
                     kind = classify_callee(op, name, is_iface)
                     callee = QualifiedName.from_internal(cls, name, desc)
                     records.append(CallRecord(UnitKind.METHOD, caller, kind, callee))
-                elif op == OP_INVOKEDYNAMIC:
+                elif site == _DYNAMIC:
                     # no resolvable target class: the pool entry names a
                     # bootstrap method, not a callee
-                    stats.call_sites += 1
-                    stats.unresolved_sites += 1
-                elif op in _FIELD_OPS:
-                    index = struct.unpack(">H", operands[:2])[0]
-                    try:
-                        cls, _, _ = pool.field_ref(index)
-                    except MalformedConstantPool:
-                        continue
-                    note_class_ref(cls)
-                elif op in _TYPE_OPS:
-                    index = struct.unpack(">H", operands[:2])[0]
-                    try:
-                        note_class_ref(pool.class_name(index))
-                    except MalformedConstantPool:
-                        continue
-                elif op == OP_LDC or op == OP_LDC_W:
-                    index = operands[0] if op == OP_LDC else struct.unpack(">H", operands[:2])[0]
-                    try:
-                        if pool.tag(index) == _TAG_CLASS:
-                            note_class_ref(pool.class_name(index))
-                    except MalformedConstantPool:
-                        continue
+                    call_sites += 1
+                    unresolved_sites += 1
+                elif site == _FIELD:
+                    ref = field_refs.get(index)
+                    if ref is not None:
+                        note_class_ref(ref[0])
+                else:
+                    internal = classes.get(index)
+                    if internal is not None:
+                        note_class_ref(internal)
         except ClassFormatError:
-            stats.bad_code_methods += 1
+            bad_code_methods += 1
 
     caller_cls = QualifiedName.from_internal(unit.name)
     for internal in class_refs:
         records.append(CallRecord(UnitKind.CLASS, caller_cls, UnitKind.CLASS,
                                   QualifiedName.from_internal(internal)))
-    stats.class_refs = len(class_refs)
+    stats = ExtractStats(entries_scanned=1, call_sites=call_sites,
+                         unresolved_sites=unresolved_sites, class_refs=len(class_refs),
+                         bad_code_methods=bad_code_methods)
     return records, stats
 
 
@@ -168,35 +168,27 @@ def open_archive(path, tolerant: bool = False, on_skip=None):
 
 
 def extract_archive(path, tolerant: bool = False, threads: int = 1) -> RelationTable:
-    """Parse every class in the archive and build the full relation table."""
+    """Parse every class in the archive and build the full relation table.
+
+    ``threads`` is accepted for compatibility and has no effect: parsing
+    is pure Python, so threads contend for the interpreter lock and ran
+    slower than one thread.
+    """
     stats = ExtractStats()
 
     def skipped(_name, _exc):
         stats.entries_skipped += 1
 
-    def scan(item):
-        name, data = item
-        try:
-            return extract_calls(parse_class(data, entry=name))
-        except ClassFormatError as exc:
-            if tolerant:
-                return None
-            raise EntryDecodeError(name, exc) from exc
-
-    entries = open_archive(path, tolerant=tolerant, on_skip=skipped)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, entries))
-    else:
-        results = [scan(item) for item in entries]
-
     records: list[CallRecord] = []
     class_count = 0
-    for result in results:
-        if result is None:
+    for name, data in open_archive(path, tolerant=tolerant, on_skip=skipped):
+        try:
+            class_records, class_stats = extract_calls(parse_class(data, entry=name))
+        except ClassFormatError as exc:
+            if not tolerant:
+                raise EntryDecodeError(name, exc) from exc
             stats.entries_skipped += 1
             continue
-        class_records, class_stats = result
         records.extend(class_records)
         stats.merge(class_stats)
         class_count += 1

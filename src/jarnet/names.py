@@ -154,6 +154,23 @@ def write_relation_table(table: RelationTable, path, format: str | None = None,
 
 
 def read_relation_table(path) -> RelationTable:
+    kinds = {kind.value: kind for kind in UnitKind}
+    # A table names each unit on many rows. QualifiedName is frozen, so
+    # rows that spell a name alike share one parsed instance.
+    names: dict[str, QualifiedName] = {}
+
+    def name_of(text: str) -> QualifiedName:
+        name = names.get(text)
+        if name is None:
+            name = names[text] = QualifiedName.parse(text)
+        return name
+
+    def kind_of(letter: str) -> UnitKind:
+        kind = kinds.get(letter)
+        if kind is None:
+            raise MalformedRecord(f"{letter!r} is not a valid UnitKind")
+        return kind
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         head = fh.readline()
         if not head:
@@ -168,8 +185,8 @@ def read_relation_table(path) -> RelationTable:
             if len(row) != 4:
                 raise MalformedRecord(f"{path}:{lineno}: expected 4 columns")
             try:
-                records.append(CallRecord(UnitKind(row[0]), QualifiedName.parse(row[1]),
-                                          UnitKind(row[2]), QualifiedName.parse(row[3])))
-            except ValueError as exc:
+                records.append(CallRecord(kind_of(row[0]), name_of(row[1]),
+                                          kind_of(row[2]), name_of(row[3])))
+            except MalformedRecord as exc:
                 raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
     return RelationTable(records=records, source_archive=str(path))

@@ -17,7 +17,7 @@ import numpy as np
 from .centrality import CentralityVector, betweenness, pagerank, top_k
 from .community import community_size_distribution, louvain
 from .errors import DegenerateGraph, DegenerateHistogram, JarnetError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, undirected_projection
 from .metrics import avg_clustering, components, degrees, shortest_path_stats
 from .topology import DegreeHistogram, PowerLawFit, degree_histogram, \
     fit_power_law, small_world_test
@@ -100,7 +100,8 @@ def analyze_graph(
     errors_seen = False
 
     deg = degrees(g)
-    comp = components(g)
+    proj = undirected_projection(g)
+    comp = components(proj)
     kind_counts = {
         "method": sum(1 for k in g.kinds if k == "method"),
         "class": sum(1 for k in g.kinds if k == "class"),
@@ -110,7 +111,7 @@ def analyze_graph(
         "edges": g.m,
         "kind_counts": kind_counts,
         "avg_degree": deg.avg_degree,
-        "clustering": avg_clustering(g),
+        "clustering": avg_clustering(proj),
         "components": {
             "count": comp.count,
             "giant_size": comp.giant_size,
@@ -122,8 +123,8 @@ def analyze_graph(
         summary["paths"] = dict(_SKIPPED)
     else:
         paths = {mode: shortest_path_stats(
-                     g, mode=mode, sample_sources=sample_sources, seed=seed)
-                 for mode in ("directed", "undirected")}
+                     graph, mode=mode, sample_sources=sample_sources, seed=seed)
+                 for mode, graph in (("directed", g), ("undirected", proj))}
         summary["paths"] = {mode: asdict(stats) for mode, stats in paths.items()}
 
     degree_vector = CentralityVector(
@@ -144,7 +145,7 @@ def analyze_graph(
     if "communities" in skip:
         communities: dict = dict(_SKIPPED)
     else:
-        part = louvain(g, seed=seed)
+        part = louvain(proj, seed=seed)
         dist = community_size_distribution(part, top=top)
         result.community_sizes = dist.sizes
         communities = {
@@ -160,7 +161,7 @@ def analyze_graph(
     else:
         try:
             small_world = asdict(small_world_test(
-                g, replicates=replicates, seed=seed,
+                proj, replicates=replicates, seed=seed,
                 sample_sources=sample_sources,
                 c_real=summary["clustering"],
                 real_paths=paths.get("undirected")))

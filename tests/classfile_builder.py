@@ -44,7 +44,7 @@ class ClassBuilder:
         self.this_index = self.cls(name)
         self.super_index = self.cls(super_name) if super_name else 0
         self.interfaces = []
-        self.fields = []   # (access, name_idx, desc_idx)
+        self.fields = []   # (access, name_idx, desc_idx, n_attrs, attributes bytes)
         self.methods = []  # (access, name_idx, desc_idx, attributes bytes)
 
     # -- constant pool ----------------------------------------------------
@@ -102,13 +102,23 @@ class ClassBuilder:
     def add_interface(self, internal_name):
         self.interfaces.append(self.cls(internal_name))
 
-    def add_field(self, name, desc, access=ACC_PUBLIC):
-        self.fields.append((access, self.utf8(name), self.utf8(desc)))
+    def _attributes(self, attributes):
+        """(name, bytes) pairs as attribute_info structures."""
+        return b"".join(struct.pack(">HI", self.utf8(name), len(body)) + body
+                        for name, body in attributes)
+
+    def add_field(self, name, desc, access=ACC_PUBLIC, attributes=()):
+        self.fields.append((access, self.utf8(name), self.utf8(desc), len(attributes),
+                            self._attributes(attributes)))
 
     def add_method(self, name, desc, code=None, access=ACC_PUBLIC,
                    max_stack=8, max_locals=8, exception_table=(),
-                   extra_code_attributes=()):
-        """code may be a Code helper, raw bytes, or None (abstract/native)."""
+                   extra_code_attributes=(), attributes=()):
+        """code may be a Code helper, raw bytes, or None (abstract/native).
+
+        ``attributes`` are further (name, bytes) method attributes written
+        after the Code attribute.
+        """
         attrs = b""
         if code is not None:
             body = bytes(code.code) if isinstance(code, Code) else bytes(code)
@@ -129,6 +139,8 @@ class ClassBuilder:
             n_attrs = 1
         else:
             n_attrs = 0
+        attrs += self._attributes(attributes)
+        n_attrs += len(attributes)
         self.methods.append((access, self.utf8(name), self.utf8(desc), n_attrs, attrs))
 
     def code(self):
@@ -172,8 +184,9 @@ class ClassBuilder:
         for idx in self.interfaces:
             out.write(struct.pack(">H", idx))
         out.write(struct.pack(">H", len(self.fields)))
-        for access, name_idx, desc_idx in self.fields:
-            out.write(struct.pack(">HHHH", access, name_idx, desc_idx, 0))
+        for access, name_idx, desc_idx, n_attrs, attrs in self.fields:
+            out.write(struct.pack(">HHHH", access, name_idx, desc_idx, n_attrs))
+            out.write(attrs)
         out.write(struct.pack(">H", len(self.methods)))
         for access, name_idx, desc_idx, n_attrs, attrs in self.methods:
             out.write(struct.pack(">HHHH", access, name_idx, desc_idx, n_attrs))

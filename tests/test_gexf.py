@@ -6,7 +6,13 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from jarnet.errors import EdgeListParseError, GexfSchemaError
-from jarnet.gexf import export_edge_list, export_gexf, import_edge_list, import_gexf
+from jarnet.gexf import (
+    _quoteattr,
+    export_edge_list,
+    export_gexf,
+    import_edge_list,
+    import_gexf,
+)
 from jarnet.graph import DirectedGraph, build_graph
 from jarnet.names import RelationTable
 
@@ -177,3 +183,12 @@ def test_edge_list_bad_line_reports_number(tmp_path):
     with pytest.raises(EdgeListParseError) as err:
         import_edge_list(path, directed=True)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("label", [
+    "plain", 'q"uote', "apo's", "both\"'", "a&b", "<tag>", "x > y", "line\nbreak",
+    "cr\rlf", "tab\t", "café::méthode", "日本", "", "&quot;'\"<>\n\r\t&amp;",
+])
+def test_label_quoting_matches_saxutils(label):
+    from xml.sax.saxutils import quoteattr
+    assert _quoteattr(label) == quoteattr(label)

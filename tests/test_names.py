@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from jarnet.errors import MalformedRecord
 from jarnet.names import (
     CallRecord,
     QualifiedName,
@@ -134,3 +135,29 @@ def test_descriptor_mode_round_trip(tmp_path):
     assert back.records == records
     assert all(r.caller.descriptor == "(I)V" for r in back.records
                if r.caller_kind is not UnitKind.CLASS)
+
+
+def test_read_shares_one_name_per_spelling(tmp_path):
+    records = _synthetic_records(300, seed=4)
+    path = tmp_path / "rel.csv"
+    write_relation_table(RelationTable(records=records), path)
+    back = read_relation_table(path).records
+    assert back == records
+    names = [name for r in back for name in (r.caller, r.callee)]
+    assert len({id(name) for name in names}) == len(set(names))
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("X,a.B::m,M,c.D::n", "'X' is not a valid UnitKind"),
+    ("M,a.B::m,,c.D::n", "'' is not a valid UnitKind"),
+    ("M,a.B::m,M,::n", "empty class name"),
+    ("M,a.B::m,C,c.D", "class-level records must be C on both sides"),
+])
+def test_read_reports_bad_kind_or_name_with_its_line(tmp_path, row, problem):
+    path = tmp_path / "rel.csv"
+    path.write_text("caller_kind,caller,callee_kind,callee\n"
+                    "M,a.B::m,M,c.D::n\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        read_relation_table(path)
+    assert str(err.value).startswith(f"{path}:3: ")
+    assert problem in str(err.value)

@@ -175,6 +175,27 @@ def test_analyze_reports_are_byte_identical(medium_jar, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+def test_analyze_projects_the_graph_once(medium_jar, tmp_path, capsys, monkeypatch):
+    import jarnet
+    from jarnet import graph as graph_module
+    from jarnet.report import analyze_graph
+
+    gexf = _extract_and_build(medium_jar, tmp_path, capsys, prefix="app")
+    original = graph_module.undirected_projection
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    for name in ("graph", "report", "metrics", "centrality", "community", "topology"):
+        module = getattr(jarnet, name)
+        if getattr(module, "undirected_projection", None) is original:
+            monkeypatch.setattr(module, "undirected_projection", counted)
+    analyze_graph(import_gexf(gexf), seed=7, replicates=2)
+    assert len(calls) == 1
+
+
 def test_analyze_skip_stage_marks_incomplete(sample_jar, tmp_path, capsys):
     gexf = _extract_and_build(sample_jar, tmp_path, capsys)
     out = tmp_path / "r.json"
@@ -309,3 +330,11 @@ def test_module_entrypoint_subprocess(tmp_path):
                             capture_output=True, text=True)
     assert helped.returncode == 0
     assert "extract" in helped.stdout
+
+
+def test_cli_import_leaves_out_network_and_thread_pool_modules():
+    probe = ("import sys, jarnet.cli; print(sorted(m for m in ('urllib.request', "
+             "'http.client', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
