@@ -7,7 +7,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyGraph
-from .graph import DirectedGraph, undirected_projection
+from .graph import DirectedGraph
 
 __all__ = ["CentralityVector", "betweenness", "pagerank", "top_k"]
 
@@ -43,8 +43,7 @@ def betweenness(
         indptr, indices = g.to_csr()
         rindptr, rindices = g.to_csr(reverse=True)
     else:
-        proj = undirected_projection(g)
-        indptr, indices = proj.to_csr()
+        indptr, indices = g.undirected().to_csr()
         rindptr, rindices = indptr, indices
     scores = _kernels.brandes(indptr, indices, rindptr, rindices)
     if not directed:
@@ -73,10 +72,9 @@ def pagerank(
     if g.n == 0:
         raise EmptyGraph("pagerank needs at least one vertex")
     n = g.n
-    edge_list = list(g.edges())
-    src = np.fromiter((u for u, _ in edge_list), dtype=np.int64, count=len(edge_list))
-    dst = np.fromiter((v for _, v in edge_list), dtype=np.int64, count=len(edge_list))
-    out = g.out_degrees().astype(np.float64)
+    indptr, dst = g.to_csr()
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    out = np.diff(indptr).astype(np.float64)
     dangling = out == 0.0
     rank = np.full(n, 1.0 / n)
     iterations = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyGraph, PartitionMismatch
-from .graph import DirectedGraph, UndirectedGraph, undirected_projection
+from .graph import UndirectedGraph
 
 __all__ = [
     "Partition",
@@ -37,10 +37,6 @@ class CommunitySizeReport:
     sizes: list[int]
     mean: float
     top_share: float
-
-
-def _projection(g) -> UndirectedGraph:
-    return g if isinstance(g, UndirectedGraph) else undirected_projection(g)
 
 
 def _score(proj: UndirectedGraph, assignments, resolution: float) -> float:
@@ -71,7 +67,7 @@ def modularity(g, assignments) -> float:
     if assignments.shape[0] != g.n:
         raise PartitionMismatch(
             f"partition covers {assignments.shape[0]} vertices, graph has {g.n}")
-    return _score(_projection(g), assignments, 1.0)
+    return _score(g.undirected(), assignments, 1.0)
 
 
 def _local_move(adj, k, two_m, resolution, order, init=None):
@@ -232,10 +228,12 @@ def louvain(g, resolution: float = 1.0, seed: int = 0, restarts: int = 5) -> Par
         raise EmptyGraph("community detection needs at least one vertex")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    proj = _projection(g)
+    proj = g.undirected()
     n = proj.n
+    indptr, indices = proj.to_csr()
+    bounds, neighbors = indptr.tolist(), indices.tolist()
     adj0: list[dict[int, float]] = [
-        {v: 1.0 for v in sorted(proj.adj[u])} for u in range(n)
+        dict.fromkeys(neighbors[bounds[u]:bounds[u + 1]], 1.0) for u in range(n)
     ]
     two_m = 2.0 * proj.m
     best: list[int] = list(range(n))

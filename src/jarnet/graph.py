@@ -22,16 +22,28 @@ class Vertex:
     kind: str
 
 
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row offsets of a CSR whose entries, sorted by row, have these rows."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
 class DirectedGraph:
-    __slots__ = ("labels", "kinds", "_ids", "_succ", "_pred", "_m")
+    """Edges are stored once, as ``src << 32 | dst`` keys. The sorted out-
+    and in-CSR and the undirected projection are built on first use and
+    cached until the next vertex or edge is added. Callers share the
+    cached arrays and must not write to them."""
+
+    __slots__ = ("labels", "kinds", "_ids", "_keys", "_csr", "_proj")
 
     def __init__(self):
         self.labels: list[str] = []
         self.kinds: list[str] = []
         self._ids: dict[str, int] = {}
-        self._succ: list[set[int]] = []
-        self._pred: list[set[int]] = []
-        self._m = 0
+        self._keys: set[int] = set()
+        self._csr: tuple[np.ndarray, ...] | None = None
+        self._proj: UndirectedGraph | None = None
 
     # -- construction --------------------------------------------------------
     def add_vertex(self, label: str) -> int:
@@ -41,16 +53,18 @@ class DirectedGraph:
             self._ids[label] = vid
             self.labels.append(label)
             self.kinds.append("method" if METHOD_SEP in label else "class")
-            self._succ.append(set())
-            self._pred.append(set())
+            self._csr = self._proj = None
         return vid
 
     def add_edge(self, src: int, dst: int) -> bool:
-        if dst in self._succ[src]:
+        n = len(self.labels)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise IndexError(f"edge ({src}, {dst}) names a missing vertex")
+        key = src << 32 | dst
+        if key in self._keys:
             return False
-        self._succ[src].add(dst)
-        self._pred[dst].add(src)
-        self._m += 1
+        self._keys.add(key)
+        self._csr = self._proj = None
         return True
 
     def add_edge_labels(self, src_label: str, dst_label: str) -> bool:
@@ -63,7 +77,7 @@ class DirectedGraph:
 
     @property
     def m(self) -> int:
-        return self._m
+        return len(self._keys)
 
     def vertex_id(self, label: str) -> int | None:
         return self._ids.get(label)
@@ -72,95 +86,101 @@ class DirectedGraph:
         return Vertex(vid, self.labels[vid], self.kinds[vid])
 
     def has_edge(self, src: int, dst: int) -> bool:
-        return dst in self._succ[src]
+        return (src << 32 | dst) in self._keys
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """(out indptr, out indices, in indptr, in indices), rows sorted."""
+        if self._csr is None:
+            keys = np.sort(np.fromiter(self._keys, dtype=np.int64, count=self.m))
+            src = keys >> 32
+            dst = keys & 0xFFFFFFFF
+            # The keys are sorted by (src, dst), so a stable sort on dst
+            # orders the reverse form by (dst, src).
+            by_dst = np.argsort(dst, kind="stable")
+            self._csr = (_indptr(src, self.n), dst,
+                         _indptr(dst[by_dst], self.n), src[by_dst])
+        return self._csr
 
     def successors(self, vid: int) -> list[int]:
-        return sorted(self._succ[vid])
+        indptr, indices, _, _ = self._arrays()
+        return indices[indptr[vid]:indptr[vid + 1]].tolist()
 
     def predecessors(self, vid: int) -> list[int]:
-        return sorted(self._pred[vid])
+        _, _, indptr, indices = self._arrays()
+        return indices[indptr[vid]:indptr[vid + 1]].tolist()
 
     def edges(self):
-        """Yield (src, dst) pairs sorted by source then target."""
-        for src in range(self.n):
-            for dst in sorted(self._succ[src]):
-                yield src, dst
+        """Iterate (src, dst) pairs sorted by source then target."""
+        indptr, indices, _, _ = self._arrays()
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        return zip(src.tolist(), indices.tolist())
 
     def out_degrees(self) -> np.ndarray:
-        return np.fromiter((len(s) for s in self._succ), dtype=np.int64, count=self.n)
+        return np.diff(self._arrays()[0])
 
     def in_degrees(self) -> np.ndarray:
-        return np.fromiter((len(p) for p in self._pred), dtype=np.int64, count=self.n)
+        return np.diff(self._arrays()[2])
 
     def to_csr(self, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency as (indptr, indices) with sorted neighbor lists.
 
         With ``reverse`` the rows hold predecessors instead of successors.
         """
-        rows = self._pred if reverse else self._succ
-        degs = self.in_degrees() if reverse else self.out_degrees()
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = np.empty(self._m, dtype=np.int64)
-        at = 0
-        for src in range(self.n):
-            neighbors = sorted(rows[src])
-            indices[at:at + len(neighbors)] = neighbors
-            at += len(neighbors)
-        return indptr, indices
+        indptr, indices, rindptr, rindices = self._arrays()
+        return (rindptr, rindices) if reverse else (indptr, indices)
+
+    def undirected(self) -> UndirectedGraph:
+        """The cached undirected projection."""
+        if self._proj is None:
+            self._proj = undirected_projection(self)
+        return self._proj
 
 
 class UndirectedGraph:
-    """Symmetrized view: {u,v} iff u->v or v->u; self-loops dropped."""
+    """Immutable symmetric CSR with sorted rows: {u,v} iff the pair was
+    given either way round; self-loops dropped. Do not write to its arrays."""
 
-    __slots__ = ("labels", "adj", "_m")
+    __slots__ = ("labels", "_indptr", "_indices")
 
-    def __init__(self, labels: list[str], adj: list[set[int]], m: int):
+    def __init__(self, labels: list[str], u, v):
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        keep = u != v
+        u, v = u[keep], v[keep]
+        keys = np.unique(np.concatenate((u << 32 | v, v << 32 | u)))
         self.labels = labels
-        self.adj = adj
-        self._m = m
+        self._indptr = _indptr(keys >> 32, len(labels))
+        self._indices = keys & 0xFFFFFFFF
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return len(self.labels)
 
     @property
     def m(self) -> int:
-        return self._m
+        return self._indices.shape[0] // 2
 
     def degrees(self) -> np.ndarray:
-        return np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=self.n)
+        return np.diff(self._indptr)
 
     def edges(self):
-        for u in range(self.n):
-            for v in sorted(self.adj[u]):
-                if u <= v:
-                    yield u, v
+        """Iterate each edge once as (u, v), u < v, sorted by u then v."""
+        u = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        upper = u < self._indices
+        return zip(u[upper].tolist(), self._indices[upper].tolist())
 
-    def to_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees(), out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        at = 0
-        for u in range(self.n):
-            neighbors = sorted(self.adj[u])
-            indices[at:at + len(neighbors)] = neighbors
-            at += len(neighbors)
-        return indptr, indices
+    def to_csr(self, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Shared (indptr, indices); symmetric, so ``reverse`` changes nothing."""
+        return self._indptr, self._indices
+
+    def undirected(self) -> UndirectedGraph:
+        return self
 
 
 def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    m = 0
-    for u in range(g.n):
-        for v in g._succ[u]:
-            if u == v:
-                continue
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
-    return UndirectedGraph(g.labels, adj, m)
+    indptr, indices, _, _ = g._arrays()
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    return UndirectedGraph(g.labels, src, indices)
 
 
 def _package_matches(package: str, prefix: str) -> bool:
@@ -191,7 +211,7 @@ def build_graph(table: RelationTable, package_prefix: str = "",
                               record.callee.render(with_descriptors))
             continue
         caller_label = record.caller.render(with_descriptors)
-        callee_class_label = record.callee.class_only().render(with_descriptors)
+        callee_class_label = record.callee.class_name
         callee_label = record.callee.render(with_descriptors)
         g.add_edge_labels(caller_label, callee_class_label)
         if record.caller.class_name == record.callee.class_name:

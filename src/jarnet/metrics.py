@@ -7,7 +7,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyGraph
-from .graph import DirectedGraph, UndirectedGraph, undirected_projection
+from .graph import DirectedGraph
 
 __all__ = [
     "DegreeReport",
@@ -65,21 +65,6 @@ def degrees(g: DirectedGraph) -> DegreeReport:
     )
 
 
-def _csr_for(g, mode: str):
-    """Predecessor CSR (indptr, indices, n) in the requested orientation."""
-    if isinstance(g, UndirectedGraph):
-        indptr, indices = g.to_csr()
-        return indptr, indices, g.n
-    if mode == "directed":
-        indptr, indices = g.to_csr(reverse=True)
-        return indptr, indices, g.n
-    if mode == "undirected":
-        proj = undirected_projection(g)
-        indptr, indices = proj.to_csr()
-        return indptr, indices, proj.n
-    raise ValueError(f"unknown mode {mode!r}; expected 'directed' or 'undirected'")
-
-
 def _bfs_over_sources(indptr, indices, sources, exact) -> PathStats:
     total, pairs, diameter = _kernels.bfs_stats(indptr, indices, sources)
     average = total / pairs if pairs else 0.0
@@ -110,8 +95,13 @@ def shortest_path_stats(
     """
     if g.n == 0:
         raise EmptyGraph("path statistics need at least one vertex")
-    indptr, indices, n = _csr_for(g, mode)
-    sources, exact = _pick_sources(np.arange(n, dtype=np.int64), sample_sources, seed)
+    if mode == "directed":
+        indptr, indices = g.to_csr(reverse=True)
+    elif mode == "undirected":
+        indptr, indices = g.undirected().to_csr()
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'directed' or 'undirected'")
+    sources, exact = _pick_sources(np.arange(g.n, dtype=np.int64), sample_sources, seed)
     return _bfs_over_sources(indptr, indices, sources, exact)
 
 
@@ -123,14 +113,13 @@ def avg_clustering(g, threads: int | None = None) -> float:
     """
     if g.n == 0:
         raise EmptyGraph("clustering needs at least one vertex")
-    proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
-    indptr, indices = proj.to_csr()
+    indptr, indices = g.undirected().to_csr()
     tri2 = _kernels.triangle_doubles(indptr, indices)
     deg = np.diff(indptr)
     # A vertex of degree < 2 has no triangles, so it contributes 0 / 1.
     local = tri2 / np.maximum(deg * (deg - 1), 1)
     # cumsum adds in vertex order, like a running total; sum() would not.
-    return float(np.cumsum(local)[-1]) / proj.n
+    return float(np.cumsum(local)[-1]) / g.n
 
 
 def _components_from_csr(indptr, indices) -> ComponentReport:
@@ -152,8 +141,7 @@ def components(g) -> ComponentReport:
     """Weakly connected components, labelled densely in first-seen order."""
     if g.n == 0:
         raise EmptyGraph("component analysis needs at least one vertex")
-    proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
-    return _components_from_csr(*proj.to_csr())
+    return _components_from_csr(*g.undirected().to_csr())
 
 
 def giant_component_paths(
@@ -170,8 +158,7 @@ def giant_component_paths(
     """
     if g.n == 0:
         raise EmptyGraph("path statistics need at least one vertex")
-    proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
-    indptr, indices = proj.to_csr()
+    indptr, indices = g.undirected().to_csr()
     comp = _components_from_csr(indptr, indices)
     giant = np.flatnonzero(comp.labels == comp.giant_label).astype(np.int64)
     sources, exact = _pick_sources(giant, sample_sources, seed)

@@ -46,9 +46,6 @@ class QualifiedName:
                 text += self.descriptor
         return text
 
-    def class_only(self) -> "QualifiedName":
-        return QualifiedName(self.package, self.cls)
-
     @staticmethod
     def from_internal(internal: str, method: str | None = None,
                       descriptor: str | None = None) -> "QualifiedName":
@@ -179,14 +176,19 @@ def read_relation_table(path) -> RelationTable:
         if [c.strip() for c in head.rstrip("\n").split(delim)] != _HEADER:
             raise MalformedRecord(f"{path}: unexpected header {head!r}")
         records = []
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise MalformedRecord(f"{path}:{lineno}: expected 4 columns")
-            try:
-                records.append(CallRecord(kind_of(row[0]), name_of(row[1]),
-                                          kind_of(row[2]), name_of(row[3])))
-            except MalformedRecord as exc:
-                raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+        reader = csv.reader(fh, delimiter=delim)
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise MalformedRecord(f"{path}:{lineno}: expected 4 columns")
+                try:
+                    records.append(CallRecord(kind_of(row[0]), name_of(row[1]),
+                                              kind_of(row[2]), name_of(row[3])))
+                except MalformedRecord as exc:
+                    raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+        except csv.Error as exc:
+            # The header was read before the reader, so it is line 1.
+            raise MalformedRecord(f"{path}:{reader.line_num + 1}: {exc}") from exc
     return RelationTable(records=records, source_archive=str(path))

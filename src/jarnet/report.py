@@ -17,7 +17,7 @@ import numpy as np
 from .centrality import CentralityVector, betweenness, pagerank, top_k
 from .community import community_size_distribution, louvain
 from .errors import DegenerateGraph, DegenerateHistogram, JarnetError
-from .graph import DirectedGraph, undirected_projection
+from .graph import DirectedGraph
 from .metrics import avg_clustering, components, degrees, shortest_path_stats
 from .topology import DegreeHistogram, PowerLawFit, degree_histogram, \
     fit_power_law, small_world_test
@@ -100,8 +100,7 @@ def analyze_graph(
     errors_seen = False
 
     deg = degrees(g)
-    proj = undirected_projection(g)
-    comp = components(proj)
+    comp = components(g)
     kind_counts = {
         "method": sum(1 for k in g.kinds if k == "method"),
         "class": sum(1 for k in g.kinds if k == "class"),
@@ -111,7 +110,7 @@ def analyze_graph(
         "edges": g.m,
         "kind_counts": kind_counts,
         "avg_degree": deg.avg_degree,
-        "clustering": avg_clustering(proj),
+        "clustering": avg_clustering(g),
         "components": {
             "count": comp.count,
             "giant_size": comp.giant_size,
@@ -123,8 +122,8 @@ def analyze_graph(
         summary["paths"] = dict(_SKIPPED)
     else:
         paths = {mode: shortest_path_stats(
-                     graph, mode=mode, sample_sources=sample_sources, seed=seed)
-                 for mode, graph in (("directed", g), ("undirected", proj))}
+                     g, mode=mode, sample_sources=sample_sources, seed=seed)
+                 for mode in ("directed", "undirected")}
         summary["paths"] = {mode: asdict(stats) for mode, stats in paths.items()}
 
     degree_vector = CentralityVector(
@@ -145,7 +144,7 @@ def analyze_graph(
     if "communities" in skip:
         communities: dict = dict(_SKIPPED)
     else:
-        part = louvain(proj, seed=seed)
+        part = louvain(g, seed=seed)
         dist = community_size_distribution(part, top=top)
         result.community_sizes = dist.sizes
         communities = {
@@ -161,7 +160,7 @@ def analyze_graph(
     else:
         try:
             small_world = asdict(small_world_test(
-                proj, replicates=replicates, seed=seed,
+                g, replicates=replicates, seed=seed,
                 sample_sources=sample_sources,
                 c_real=summary["clustering"],
                 real_paths=paths.get("undirected")))

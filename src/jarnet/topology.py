@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGraph, DegenerateHistogram
-from .graph import DirectedGraph, UndirectedGraph, undirected_projection
+from .graph import DirectedGraph, UndirectedGraph
 from .metrics import PathStats, avg_clustering, giant_component_paths, \
     shortest_path_stats
 
@@ -42,16 +42,11 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> UndirectedGraph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     labels = [f"v{i}" for i in range(n)]
-    adj: list[set[int]] = [set() for _ in range(n)]
     total = n * (n - 1) // 2
     if p <= 0.0 or total == 0:
-        return UndirectedGraph(labels, adj, 0)
+        return UndirectedGraph(labels, [], [])
     if p >= 1.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                adj[u].add(v)
-                adj[v].add(u)
-        return UndirectedGraph(labels, adj, total)
+        return UndirectedGraph(labels, *np.triu_indices(n, 1))
     rng = np.random.default_rng(seed)
     chunks: list[np.ndarray] = []
     pos = -1
@@ -71,10 +66,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> UndirectedGraph:
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=offsets[1:])
     rows = np.searchsorted(offsets, linear, side="right") - 1
     cols = linear - offsets[rows] + rows + 1
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        adj[u].add(v)
-        adj[v].add(u)
-    return UndirectedGraph(labels, adj, int(linear.size))
+    return UndirectedGraph(labels, rows, cols)
 
 
 def ring_lattice(n: int, k: int) -> DirectedGraph:
@@ -136,7 +128,7 @@ def small_world_test(
     must come from the same ``sample_sources`` and ``seed``. Missing
     values are computed here. ``threads`` has no effect.
     """
-    proj = g if isinstance(g, UndirectedGraph) else undirected_projection(g)
+    proj = g.undirected()
     if proj.n < 2:
         raise DegenerateGraph("small-world comparison needs >= 2 vertices")
     p = link_probability(proj.m, proj.n)

@@ -114,6 +114,17 @@ def test_build_empty_table_valid_empty_gexf(tmp_path, capsys):
     assert import_gexf(gexf).n == 0
 
 
+def test_build_oversized_field_exits_2(tmp_path, capsys):
+    table = tmp_path / "huge.csv"
+    table.write_text("caller_kind,caller,callee_kind,callee\n"
+                     f"M,a.B::foo,M,c.D::{'x' * 200_000}\n", encoding="utf-8")
+    code, _, err = run(["build", str(table), "-o", str(tmp_path / "huge.gexf")],
+                       capsys)
+    assert code == 2
+    assert f"{table}:2: field larger than field limit" in err
+    assert "internal error" not in err
+
+
 # -- analyze ------------------------------------------------------------------
 
 def _triangle_gexf(tmp_path):
