@@ -26,15 +26,13 @@ def betweenness(
     g: DirectedGraph,
     directed: bool = True,
     normalized: bool = False,
-    threads: int | None = None,
 ) -> CentralityVector:
     """Shortest-path betweenness (endpoints excluded).
 
     The undirected variant runs on the projection and halves the scores so
     each unordered pair is counted once. Normalization divides by the number
     of pairs that could route through a vertex: (n-1)(n-2) directed,
-    (n-1)(n-2)/2 undirected. ``threads`` is accepted for interface
-    compatibility and has no effect: the kernel is numpy.
+    (n-1)(n-2)/2 undirected.
     """
     if g.n == 0:
         raise EmptyGraph("betweenness needs at least one vertex")

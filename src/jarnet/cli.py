@@ -33,14 +33,16 @@ def _write_output(text: str, destination: str) -> None:
             fh.write(text)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -71,15 +73,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     graph = import_gexf(args.gexf)
     skip = tuple(dict.fromkeys(args.skip or ()))
     sample_sources = args.sampled_paths
-    result = analyze_graph(
-        graph,
-        seed=args.seed,
-        replicates=args.replicates,
-        top=args.top,
-        threads=args.threads,
-        sample_sources=sample_sources,
-        skip=skip,
-    )
+    result = analyze_graph(graph, seed=args.seed, replicates=args.replicates,
+                           top=args.top, sample_sources=sample_sources, skip=skip)
     provenance = {
         "tool": "jarnet",
         "version": __version__,
@@ -165,11 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("gexf", help="GEXF graph file")
     p_analyze.add_argument("-o", "--output", default="-",
                            help="report file to write ('-' for stdout)")
-    p_analyze.add_argument("--seed", type=int, default=0,
+    p_analyze.add_argument("--seed", type=_int_at_least(0), default=0,
                            help="base seed for all randomized stages")
-    p_analyze.add_argument("--replicates", type=_positive_int, default=5,
+    p_analyze.add_argument("--replicates", type=_int_at_least(1), default=5,
                            help="random baseline replicates")
-    p_analyze.add_argument("--top", type=_positive_int, default=10,
+    p_analyze.add_argument("--top", type=_int_at_least(1), default=10,
                            help="length of the ranking lists")
     p_analyze.add_argument("--threads", type=int, default=None,
                            help="accepted for compatibility; no effect, "
@@ -177,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     paths = p_analyze.add_mutually_exclusive_group()
     paths.add_argument("--exact-paths", action="store_true",
                        help="all-sources path statistics (default)")
-    paths.add_argument("--sampled-paths", type=_positive_int, metavar="K",
+    paths.add_argument("--sampled-paths", type=_int_at_least(1), metavar="K",
                        default=None,
                        help="estimate path statistics from K seeded sources")
     p_analyze.add_argument("--skip", action="append", choices=STAGES,

@@ -36,6 +36,11 @@ OP_MULTIANEWARRAY = 0xC5
 OP_LDC = 0x12
 OP_LDC_W = 0x13
 
+# Largest declared size of an entry that is read. Class-file counts are
+# u2, so real classes stay far below it. A read never returns more than
+# the declared size, and a false declared size fails the CRC check.
+MAX_ENTRY_BYTES = 16 << 20
+
 # What extract_calls does at an opcode: resolve a method ref, count an
 # unresolvable site, or note the class of a field ref or class constant.
 # Every other opcode is only walked over.
@@ -144,7 +149,8 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
 
 
 def open_archive(path, tolerant: bool = False, on_skip=None):
-    """Yield (entry name, bytes) for each .class entry in archive order."""
+    """Yield (entry name, bytes) for each .class entry in archive order.
+    An entry declared over ``MAX_ENTRY_BYTES`` counts as unreadable."""
     path = Path(path)
     if not path.exists():
         raise ArchiveNotFound(str(path))
@@ -157,8 +163,11 @@ def open_archive(path, tolerant: bool = False, on_skip=None):
             if info.is_dir() or not info.filename.endswith(".class"):
                 continue
             try:
+                if info.file_size > MAX_ENTRY_BYTES:
+                    raise ValueError(f"declared size {info.file_size} bytes is "
+                                     f"over the {MAX_ENTRY_BYTES}-byte limit")
                 data = archive.read(info)
-            except Exception as exc:  # CRC errors, truncated members
+            except Exception as exc:  # CRC errors, truncated or oversized members
                 if tolerant:
                     if on_skip is not None:
                         on_skip(info.filename, exc)

@@ -85,13 +85,11 @@ def shortest_path_stats(
     mode: str = "directed",
     sample_sources: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> PathStats:
     """BFS path statistics over finite ordered pairs (u != v).
 
     With ``sample_sources`` fewer than n, averages come from a seeded
-    source subset and ``exact`` is False. ``threads`` is accepted for
-    interface compatibility and has no effect: the BFS kernel is numpy.
+    source subset and ``exact`` is False.
     """
     if g.n == 0:
         raise EmptyGraph("path statistics need at least one vertex")
@@ -105,11 +103,10 @@ def shortest_path_stats(
     return _bfs_over_sources(indptr, indices, sources, exact)
 
 
-def avg_clustering(g, threads: int | None = None) -> float:
+def avg_clustering(g) -> float:
     """Mean local clustering coefficient of the undirected projection.
 
     Vertices of degree < 2 contribute zero; self-loops are ignored.
-    ``threads`` has no effect, as for :func:`shortest_path_stats`.
     """
     if g.n == 0:
         raise EmptyGraph("clustering needs at least one vertex")
@@ -148,13 +145,11 @@ def giant_component_paths(
     g,
     sample_sources: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> PathStats:
     """Path statistics restricted to the largest component.
 
     Sources are drawn from the giant component only; since BFS cannot
-    leave a component, every counted pair lies inside it. ``threads``
-    has no effect, as for :func:`shortest_path_stats`.
+    leave a component, every counted pair lies inside it.
     """
     if g.n == 0:
         raise EmptyGraph("path statistics need at least one vertex")

@@ -32,10 +32,6 @@ __all__ = [
     "sha256_file",
 ]
 
-STAGES = ("paths", "betweenness", "communities", "smallworld", "powerlaw")
-
-_SKIPPED = {"skipped": True}
-
 
 @dataclass
 class AnalysisResult:
@@ -53,26 +49,75 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _native(value):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(value, dict):
-        return {k: _native(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_native(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_native(v) for v in value.tolist()]
-    return value
-
-
 def _rank_rows(pairs: list[tuple[str, float]]) -> list[dict]:
     return [{"rank": i, "label": label, "score": score}
             for i, (label, score) in enumerate(pairs, start=1)]
+
+
+@dataclass
+class _Run:
+    """The options of one analysis and the results its stages share."""
+    g: DirectedGraph
+    seed: int
+    replicates: int
+    top: int
+    sample_sources: int | None
+    clustering: float
+    result: AnalysisResult
+    paths: dict = field(default_factory=dict)
+    incomplete: bool = False
+
+    def guarded(self, fn, *args):
+        """``fn(*args)``, or an error section that marks the report incomplete."""
+        try:
+            return fn(*args)
+        except (DegenerateGraph, DegenerateHistogram) as exc:
+            self.incomplete = True
+            return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+# The skippable stages, in the order they run. Each returns its section
+# and calls the analysis functions by module-global name, so a wrapper
+# rebound on this module (as the benchmark's tracer does) sees the call.
+
+def _paths(run: _Run) -> dict:
+    run.paths = {mode: shortest_path_stats(run.g, mode=mode, seed=run.seed,
+                                           sample_sources=run.sample_sources)
+                 for mode in ("directed", "undirected")}
+    return {mode: asdict(stats) for mode, stats in run.paths.items()}
+
+
+def _betweenness(run: _Run) -> list:
+    return _rank_rows(top_k(betweenness(run.g), run.top))
+
+
+def _communities(run: _Run) -> dict:
+    part = louvain(run.g, seed=run.seed)
+    dist = community_size_distribution(part, top=run.top)
+    run.result.community_sizes = dist.sizes
+    return {"count": part.n_communities, "q": part.q, "mean_size": dist.mean,
+            "top_share": dist.top_share, "sizes_top": dist.sizes[:run.top]}
+
+
+def _smallworld(run: _Run) -> dict:
+    # Without the paths stage, real_paths is None and is computed there.
+    return run.guarded(lambda: asdict(small_world_test(
+        run.g, replicates=run.replicates, seed=run.seed,
+        sample_sources=run.sample_sources, c_real=run.clustering,
+        real_paths=run.paths.get("undirected"))))
+
+
+def _powerlaw(run: _Run) -> dict:
+    def fit(which, hist):
+        run.result.fits[which] = fitted = fit_power_law(hist)
+        return asdict(fitted)
+    return {which: run.guarded(fit, which, hist)
+            for which, hist in run.result.histograms.items()}
+
+
+_STAGES = {"paths": _paths, "betweenness": _betweenness, "communities": _communities,
+           "smallworld": _smallworld, "powerlaw": _powerlaw}
+STAGES = tuple(_STAGES)
 
 
 def analyze_graph(
@@ -81,115 +126,56 @@ def analyze_graph(
     seed: int = 0,
     replicates: int = 5,
     top: int = 10,
-    threads: int | None = None,
     sample_sources: int | None = None,
     skip: tuple[str, ...] = (),
 ) -> AnalysisResult:
     """Run every analysis stage on an imported graph.
 
-    Stages named in ``skip`` are replaced by a ``{"skipped": true}``
-    marker. Degenerate-input failures in the small-world or power-law
-    stages are recorded in place as ``{"error": ...}`` rather than
-    aborting. Either condition marks the whole report incomplete.
-    ``threads`` is accepted for interface compatibility and has no
-    effect: every analysis kernel is single-threaded numpy.
+    Degrees, components, clustering, PageRank and the degree histograms
+    always run; the stages of ``STAGES`` run in that order. Stages named
+    in ``skip`` are replaced by a ``{"skipped": true}`` marker.
+    Degenerate-input failures in the small-world or power-law stages are
+    recorded in place as ``{"error": ...}`` rather than aborting. Either
+    condition marks the whole report incomplete.
     """
     unknown = set(skip) - set(STAGES)
     if unknown:
         raise ValueError(f"unknown stages: {sorted(unknown)}")
-    errors_seen = False
-
     deg = degrees(g)
     comp = components(g)
-    kind_counts = {
-        "method": sum(1 for k in g.kinds if k == "method"),
-        "class": sum(1 for k in g.kinds if k == "class"),
-    }
-    summary = {
-        "vertices": g.n,
-        "edges": g.m,
-        "kind_counts": kind_counts,
-        "avg_degree": deg.avg_degree,
-        "clustering": avg_clustering(g),
-        "components": {
-            "count": comp.count,
-            "giant_size": comp.giant_size,
-            "giant_fraction": comp.giant_fraction,
-        },
-    }
-    paths: dict = {}
-    if "paths" in skip:
-        summary["paths"] = dict(_SKIPPED)
-    else:
-        paths = {mode: shortest_path_stats(
-                     g, mode=mode, sample_sources=sample_sources, seed=seed)
-                 for mode in ("directed", "undirected")}
-        summary["paths"] = {mode: asdict(stats) for mode, stats in paths.items()}
-
-    degree_vector = CentralityVector(
-        "degree", list(g.labels), deg.total_degrees.astype(np.float64))
-    rankings: dict = {"degree": _rank_rows(top_k(degree_vector, top))}
-    if "betweenness" in skip:
-        rankings["betweenness"] = dict(_SKIPPED)
-    else:
-        rankings["betweenness"] = _rank_rows(
-            top_k(betweenness(g), top))
-    rankings["pagerank"] = _rank_rows(top_k(pagerank(g), top))
-
     histograms = {which: degree_histogram(g, which=which)
                   for which in ("total", "in", "out")}
-
-    result = AnalysisResult(sections={}, histograms=histograms)
-
-    if "communities" in skip:
-        communities: dict = dict(_SKIPPED)
-    else:
-        part = louvain(g, seed=seed)
-        dist = community_size_distribution(part, top=top)
-        result.community_sizes = dist.sizes
-        communities = {
-            "count": part.n_communities,
-            "q": part.q,
-            "mean_size": dist.mean,
-            "top_share": dist.top_share,
-            "sizes_top": dist.sizes[:top],
-        }
-
-    if "smallworld" in skip:
-        small_world: dict = dict(_SKIPPED)
-    else:
-        try:
-            small_world = asdict(small_world_test(
-                g, replicates=replicates, seed=seed,
-                sample_sources=sample_sources,
-                c_real=summary["clustering"],
-                real_paths=paths.get("undirected")))
-        except DegenerateGraph as exc:
-            small_world = {"error": f"{type(exc).__name__}: {exc}"}
-            errors_seen = True
-
-    if "powerlaw" in skip:
-        power_law: dict = dict(_SKIPPED)
-    else:
-        power_law = {}
-        for which, hist in histograms.items():
-            try:
-                fit = fit_power_law(hist)
-                result.fits[which] = fit
-                power_law[which] = asdict(fit)
-            except DegenerateHistogram as exc:
-                power_law[which] = {"error": f"{type(exc).__name__}: {exc}"}
-                errors_seen = True
-
-    result.sections = _native({
-        "summary": summary,
-        "rankings": rankings,
-        "communities": communities,
-        "small_world": small_world,
-        "power_law": power_law,
-        "incomplete": bool(skip) or errors_seen,
-    })
-    return result
+    run = _Run(g, seed, replicates, top, sample_sources, avg_clustering(g),
+               AnalysisResult(sections={}, histograms=histograms))
+    out = {name: {"skipped": True} if name in skip else stage(run)
+           for name, stage in _STAGES.items()}
+    degree_vector = CentralityVector(
+        "degree", list(g.labels), deg.total_degrees.astype(np.float64))
+    run.result.sections = {
+        "summary": {
+            "vertices": g.n,
+            "edges": g.m,
+            "kind_counts": {kind: g.kinds.count(kind) for kind in ("method", "class")},
+            "avg_degree": deg.avg_degree,
+            "clustering": run.clustering,
+            "components": {
+                "count": comp.count,
+                "giant_size": comp.giant_size,
+                "giant_fraction": comp.giant_fraction,
+            },
+            "paths": out["paths"],
+        },
+        "rankings": {
+            "degree": _rank_rows(top_k(degree_vector, top)),
+            "betweenness": out["betweenness"],
+            "pagerank": _rank_rows(top_k(pagerank(g), top)),
+        },
+        "communities": out["communities"],
+        "small_world": out["smallworld"],
+        "power_law": out["powerlaw"],
+        "incomplete": bool(skip) or run.incomplete,
+    }
+    return run.result
 
 
 # -- rendering ------------------------------------------------------------------

@@ -111,7 +111,6 @@ def small_world_test(
     replicates: int = 5,
     seed: int = 0,
     sample_sources: int | None = None,
-    threads: int | None = None,
     c_real: float | None = None,
     real_paths: PathStats | None = None,
 ) -> SmallWorldReport:
@@ -126,7 +125,7 @@ def small_world_test(
     ``c_real`` and ``real_paths`` take the real graph's clustering and
     undirected path statistics when the caller has them already; they
     must come from the same ``sample_sources`` and ``seed``. Missing
-    values are computed here. ``threads`` has no effect.
+    values are computed here.
     """
     proj = g.undirected()
     if proj.n < 2:

@@ -13,6 +13,7 @@ from classfile_builder import (
     make_jar,
 )
 from jarnet.errors import ArchiveCorrupt, ArchiveNotFound, EntryDecodeError, UnknownOpcode
+from jarnet import extractor
 from jarnet.extractor import classify_callee, extract_archive, extract_calls, open_archive
 from jarnet.classfile import parse_class
 from jarnet.names import UnitKind, write_relation_table
@@ -227,6 +228,41 @@ def test_corrupt_entry_strict_and_tolerant(tmp_path):
     assert table.stats.entries_skipped == 1
     callers = {r.caller.class_name for r in table.records}
     assert callers == {"p.Good", "p.Other"}
+
+
+def oversized_entry_jar(tmp_path):
+    """A jar whose p/Big.class is larger than its two other classes, and
+    that size."""
+    classes = {}
+    for name in ("p/Small", "p/Big", "p/Other"):
+        cb = ClassBuilder(name)
+        default_init(cb)
+        if name == "p/Big":
+            cb.utf8("x" * 200)
+        classes[f"{name}.class"] = cb.build()
+    path = tmp_path / "sized.jar"
+    path.write_bytes(make_jar(list(classes.items())))
+    return path, len(classes["p/Big.class"])
+
+
+def test_entry_over_size_cap_strict_and_tolerant(tmp_path, monkeypatch):
+    path, big = oversized_entry_jar(tmp_path)
+    monkeypatch.setattr(extractor, "MAX_ENTRY_BYTES", big)
+    assert extract_archive(path).class_count == 3
+    monkeypatch.setattr(extractor, "MAX_ENTRY_BYTES", big - 1)
+    with pytest.raises(EntryDecodeError) as err:
+        extract_archive(path)
+    assert err.value.entry == "p/Big.class"
+    assert str(err.value).count("p/Big.class") == 1
+    assert f"declared size {big} bytes" in str(err.value)
+    skipped = []
+    names = [name for name, _ in open_archive(
+        path, tolerant=True, on_skip=lambda name, exc: skipped.append(name))]
+    assert names == ["p/Small.class", "p/Other.class"]
+    assert skipped == ["p/Big.class"]
+    table = extract_archive(path, tolerant=True)
+    assert table.class_count == 2
+    assert table.stats.entries_skipped == 1
 
 
 def test_classify_callee_contract():

@@ -153,15 +153,6 @@ def test_sampled_paths_deterministic_and_flagged():
     assert (a.average, a.diameter, a.finite_pairs) == (b.average, b.diameter, b.finite_pairs)
 
 
-def test_paths_thread_count_does_not_change_results():
-    rng = random.Random(9)
-    g = random_digraph(60, 0.06, rng)
-    one = shortest_path_stats(g, mode="directed", threads=1)
-    two = shortest_path_stats(g, mode="directed", threads=2)
-    assert (one.average, one.diameter, one.finite_pairs) == (
-        two.average, two.diameter, two.finite_pairs)
-
-
 # -- clustering ---------------------------------------------------------------
 
 def brute_clustering(g: DirectedGraph) -> float:

@@ -7,12 +7,13 @@ import sys
 
 import pytest
 
+from jarnet import extractor
 from jarnet.cli import main
 from jarnet.gexf import export_gexf, import_gexf
 from jarnet.graph import DirectedGraph
 
 from classfile_builder import ClassBuilder, default_init, make_jar
-from test_extractor import GOLDEN_SAMPLE_ROWS
+from test_extractor import GOLDEN_SAMPLE_ROWS, oversized_entry_jar
 
 
 def run(argv, capsys):
@@ -59,6 +60,20 @@ def test_extract_corrupt_entry_strict_vs_tolerant(tmp_path, capsys):
                           capsys)
     assert code == 0
     assert "entries_skipped=1" in stdout
+
+
+def test_extract_entry_over_size_cap_exits_2(tmp_path, capsys, monkeypatch):
+    jar, big = oversized_entry_jar(tmp_path)
+    monkeypatch.setattr(extractor, "MAX_ENTRY_BYTES", big - 1)
+    out = tmp_path / "rel.csv"
+    code, _, stderr = run(["extract", str(jar), "-o", str(out)], capsys)
+    assert code == 2
+    assert stderr.count("p/Big.class") == 1
+    assert not out.exists()
+    code, stdout, _ = run(["extract", str(jar), "-o", str(out), "--tolerant"],
+                          capsys)
+    assert code == 0
+    assert "classes=2" in stdout and "entries_skipped=1" in stdout
 
 
 def test_usage_errors_exit_1(capsys):
@@ -172,6 +187,17 @@ def test_analyze_rejects_counts_below_one(tmp_path, capsys, flag, value):
                           capsys)
     assert code == 1
     assert flag in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--sampled-paths", "3", "--skip", "smallworld"]])
+def test_analyze_rejects_negative_seed(tmp_path, capsys, extra):
+    gexf = _triangle_gexf(tmp_path)
+    out = tmp_path / "report.json"
+    code, _, stderr = run(["analyze", str(gexf), "-o", str(out),
+                           "--seed", "-1"] + extra, capsys)
+    assert code == 1
+    assert "--seed" in stderr
     assert not out.exists()
 
 
@@ -330,6 +356,7 @@ def test_report_to_file(sample_jar, tmp_path, capsys):
 
 # -- module entry point ----------------------------------------------------------
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 def test_module_entrypoint_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "jarnet", "extract",
@@ -343,6 +370,7 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert "extract" in helped.stdout
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 def test_cli_import_leaves_out_network_and_thread_pool_modules():
     probe = ("import sys, jarnet.cli; print(sorted(m for m in ('urllib.request', "
              "'http.client', 'concurrent.futures') if m in sys.modules))")

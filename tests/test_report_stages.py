@@ -1,0 +1,112 @@
+"""The skippable analysis stages: independence, section types, traced calls."""
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from jarnet.extractor import extract_archive
+from jarnet.graph import build_graph
+from jarnet.report import STAGES, analyze_graph
+
+from test_bench_contract import load_tracing
+
+ANALYSIS = {"seed": 7, "replicates": 2, "top": 5}
+
+
+def stage_sections(sections: dict) -> dict:
+    """Each stage's section, keyed by stage name."""
+    return {
+        "paths": sections["summary"]["paths"],
+        "betweenness": sections["rankings"]["betweenness"],
+        "communities": sections["communities"],
+        "smallworld": sections["small_world"],
+        "powerlaw": sections["power_law"],
+    }
+
+
+def without_stages(sections: dict) -> dict:
+    """The sections that do not belong to a skippable stage."""
+    summary = {k: v for k, v in sections["summary"].items() if k != "paths"}
+    rankings = {k: v for k, v in sections["rankings"].items() if k != "betweenness"}
+    return {"summary": summary, "rankings": rankings}
+
+
+def assert_plain_json(value, where="sections"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, (where, key)
+            assert_plain_json(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            assert_plain_json(item, f"{where}[{i}]")
+    else:
+        assert type(value) in (str, int, float, bool, type(None)), \
+            (where, type(value))
+
+
+@pytest.fixture(scope="module")
+def medium_graph(medium_jar):
+    return build_graph(extract_archive(medium_jar), package_prefix="app")
+
+
+def test_stage_table_order():
+    assert STAGES == ("paths", "betweenness", "communities", "smallworld", "powerlaw")
+
+
+def test_unknown_stage_is_rejected(medium_graph):
+    with pytest.raises(ValueError, match="unknown stages"):
+        analyze_graph(medium_graph, skip=("paths", "bogus"))
+
+
+def test_skipping_leaves_other_sections_alone(medium_graph):
+    full = analyze_graph(medium_graph, **ANALYSIS)
+    assert_plain_json(full.sections)
+    assert full.sections["incomplete"] is False
+    full_stages = stage_sections(full.sections)
+    assert all("skipped" not in section and "error" not in section
+               for section in full_stages.values() if isinstance(section, dict))
+    subsets = [s for r in range(1, len(STAGES) + 1)
+               for s in itertools.combinations(STAGES, r)]
+    assert len(subsets) == 31
+    for skip in subsets:
+        result = analyze_graph(medium_graph, skip=skip, **ANALYSIS)
+        sections = result.sections
+        assert_plain_json(sections)
+        assert list(sections) == list(full.sections), skip
+        assert list(sections["summary"]) == list(full.sections["summary"]), skip
+        assert list(sections["rankings"]) == list(full.sections["rankings"]), skip
+        assert without_stages(sections) == without_stages(full.sections), skip
+        for name, section in stage_sections(sections).items():
+            if name in skip:
+                assert section == {"skipped": True}, (skip, name)
+            else:
+                assert section == full_stages[name], (skip, name)
+        assert sections["incomplete"] is True
+        assert result.fits == ({} if "powerlaw" in skip else full.fits), skip
+        assert result.community_sizes == (
+            None if "communities" in skip else full.community_sizes), skip
+
+
+STAGE_CALLS = {
+    "centrality.betweenness": 1,
+    "community.louvain": 1,
+    "topology.small_world_test": 1,
+    "metrics.shortest_path_stats": 2,
+    "topology.fit_power_law": 3,
+}
+
+
+@pytest.mark.parametrize("skip", [(), STAGES], ids=["run_all", "skip_all"])
+def test_stages_call_through_rebound_module_names(medium_graph, skip):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        analyze_graph(medium_graph, skip=skip, **ANALYSIS)
+    finally:
+        tracer.uninstall()
+    expected = {name: 0 if skip else count for name, count in STAGE_CALLS.items()}
+    assert {name: tracer.calls[name] for name in STAGE_CALLS} == expected
+    assert tracer.calls["centrality.pagerank"] == 1
+    assert tracer.calls["metrics.avg_clustering"] == (1 if skip else 3)

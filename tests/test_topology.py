@@ -123,9 +123,9 @@ def test_small_world_reuses_given_real_values(monkeypatch, sample_sources):
                                      sample_sources=sample_sources, seed=5)
     clustered = []
 
-    def replicate_clustering(graph, threads=None):
+    def replicate_clustering(graph):
         clustered.append(graph)
-        return avg_clustering(graph, threads=threads)
+        return avg_clustering(graph)
 
     def no_real_paths(*_args, **_kwargs):
         raise AssertionError("real-graph paths recomputed")
