@@ -2,19 +2,39 @@
 
 Every kernel takes ``indptr``/``indices`` with sorted neighbour lists and
 returns integer results, or float64 results whose bits never depend on
-how the work is batched.
+how the work is batched. Work whose result is already known is skipped,
+never approximated.
 
 - ``bfs_stats``: bit-parallel multi-source BFS (Then et al., "The More
-  the Merrier", VLDB 2014). Its results are integer sums and maxima.
-- ``brandes``: Brandes betweenness (J. Math. Sociol. 2001), sources in
-  order, ``max(1, BATCH_ENTRIES // n)`` at a time, as flat arrays keyed
-  ``j * n + v`` for the batch's j-th source. The result is bit-identical
-  to a one-source-at-a-time scalar loop, because every float addition
-  happens in that loop's order:
+  the Merrier", VLDB 2014). Its results are integer sums and maxima, so
+  what it skips only has to leave those integers unchanged:
 
-  * path counts (sigma) of the vertices a level reaches come from a
-    ``bincount``, which adds in input order, over candidates listed in
-    frontier (queue) order and then successor order;
+  * a source that is no vertex's predecessor reaches nothing; it adds 0
+    to the sums and level 0 to the diameter, so it is not run;
+  * a vertex whose visited bits hold the whole batch can gain no more
+    bits; once such rows are 30% of those gathered, the gather is rebuilt
+    over the rest;
+  * leaves folded onto a source by the caller (``leaves``, after
+    Sariyüce et al., "Graph Manipulations for Fast Centrality
+    Computation", ACM TKDD 2017) are counted from their neighbour's BFS
+    instead of running their own. For a leaf v of a vertex u of degree
+    >= 2 in a symmetric CSR, ``pairs_v = pairs_u``,
+    ``total_v = total_u + pairs_u - 1`` and ``ecc_v = ecc_u + 1``.
+- ``brandes``: Brandes betweenness (J. Math. Sociol. 2001) of the sources
+  with successors, in order, ``max(1, BATCH_ENTRIES // n)`` at a time, as
+  flat arrays keyed ``j * n + v`` for the batch's j-th source. A source
+  without successors has an all-zero delta row, and adding +0.0 changes
+  no bit, so it is skipped. The result is bit-identical to a
+  one-source-at-a-time scalar loop, because every float addition happens
+  in that loop's order:
+
+  * each level lists the vertices it reaches in discovery (queue) order:
+    first-touch marking keeps each candidate's first appearance among
+    the candidates, which come in frontier order and then successor
+    order. The mark of every candidate is reset before each level, so no
+    mark from an earlier level or batch survives;
+  * path counts (sigma) of those vertices come from a ``bincount``, which
+    adds in input order, over the candidates in that same order;
   * dependencies (delta) go level by level from the deepest, each level's
     frontier in *descending* queue position and then predecessor order,
     through ``np.add.at``, which applies its updates one by one in index
@@ -48,49 +68,99 @@ def _neighbours(indptr, rows):
 # Sources per bit-parallel BFS batch: eight uint64 words per vertex.
 BATCH_SOURCES = 512
 
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+# A batch's gather is rebuilt over its open rows once they fall below
+# this share of the rows it gathers.
+LIVE_SHARE = 0.7
 
 
-def bfs_stats(indptr, indices, sources):
+def _bits(positions, words):
+    """A ``words``-word uint64 bitset with the given bit positions set."""
+    out = np.zeros(words, np.uint64)
+    np.bitwise_or.at(out, positions >> 6,
+                     np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64)))
+    return out
+
+
+def _popcount(words) -> int:
+    return int(np.bitwise_count(words).sum(dtype=np.int64))
+
+
+def _bfs_batch(indptr, indices, rows, batch, leaves):
+    """``(total, pairs, diameter)`` of the sources of one batch."""
+    n = indptr.shape[0] - 1
+    words = (batch.shape[0] + 63) // 64
+    bit = np.arange(batch.shape[0])
+    full = _bits(bit, words)
+    # Bit k of a source's leaf count, for every source at once: the
+    # leaves reached at a level are sum_k 2^k * popcount(reached & plane_k).
+    planes = [_bits(np.flatnonzero(leaves >> k & 1), words)
+              for k in range(int(leaves.max(initial=0)).bit_length())]
+    anchors = _bits(np.flatnonzero(leaves), words)
+    frontier = np.zeros((n, words), np.uint64)
+    np.bitwise_or.at(frontier, (batch, bit >> 6),
+                     np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
+    visited = frontier.copy()
+    live, nbr, starts = rows, indices, indptr[rows]
+    total = pairs = folded = level = far = 0
+    while True:
+        reached = np.bitwise_or.reduceat(frontier[nbr], starts, axis=0)
+        seen = visited[live]
+        reached &= ~seen
+        count = _popcount(reached)
+        if count == 0:
+            break
+        level += 1
+        weighted = sum(_popcount(reached & plane) << k for k, plane in enumerate(planes))
+        if planes and (reached & anchors).any():
+            far = level + 1
+        total += level * (count + weighted)
+        pairs += count + weighted
+        folded += weighted
+        seen |= reached
+        visited[live] = seen
+        frontier = np.zeros_like(visited)
+        frontier[live] = reached
+        open_rows = ~(seen == full).all(axis=1)
+        if np.count_nonzero(open_rows) < LIVE_SHARE * live.shape[0]:
+            live = live[open_rows]
+            if live.size == 0:
+                break
+            pos, counts = _neighbours(indptr, live)
+            nbr, starts = indices[pos], np.cumsum(counts) - counts
+    # Each folded leaf v of u adds pairs_u - 1 on top of total_u.
+    return total + folded - int(leaves.sum()), pairs, max(level, far)
+
+
+def bfs_stats(indptr, indices, sources, leaves=None):
     """Distance sum, reached pairs and diameter of a BFS from each source.
 
     ``indptr``/``indices`` hold each vertex's predecessors, so a vertex is
     reached at the next level from the frontier bits of its in-neighbors.
     Sources run in batches of ``BATCH_SOURCES``, one bit each in an
-    ``(n, words)`` uint64 bitset; a level is one gather over the edges and
-    one OR-reduction per vertex. Pairs exclude the source itself. All
-    three results are integer sums or maxima, so the batch width never
-    changes them.
+    ``(n, words)`` uint64 bitset; a level is one gather over the edges of
+    the rows still open and one OR-reduction per row. Pairs exclude the
+    source itself. ``leaves[i]``, if given, is the number of leaves of a
+    symmetric CSR folded onto ``sources[i]``: they count as sources
+    without being run. All three results are integer sums or maxima, so
+    the batch width and the skipped work never change them.
     """
     n = indptr.shape[0] - 1
     sources = np.asarray(sources, np.int64)
+    leaves = np.zeros(sources.shape, np.int64) if leaves is None \
+        else np.asarray(leaves, np.int64)
+    reaches = np.zeros(n, bool)
+    reaches[indices] = True
+    keep = reaches[sources]
+    sources, leaves = sources[keep], leaves[keep]
     # reduceat gives garbage for empty segments: keep rows with predecessors.
     rows = np.flatnonzero(np.diff(indptr))
-    starts = indptr[rows]
     total = pairs = diameter = 0
-    if rows.size == 0:
-        return total, pairs, diameter
     for lo in range(0, sources.shape[0], BATCH_SOURCES):
-        batch = sources[lo:lo + BATCH_SOURCES]
-        bit = np.arange(batch.shape[0])
-        frontier = np.zeros((n, (batch.shape[0] + 63) // 64), np.uint64)
-        np.bitwise_or.at(frontier, (batch, bit >> 6),
-                         np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
-        visited = frontier.copy()
-        level = 0
-        while True:
-            reached = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-            reached &= ~visited[rows]
-            count = int(_POPCOUNT[reached.view(np.uint8)].sum(dtype=np.int64))
-            if count == 0:
-                break
-            level += 1
-            total += level * count
-            pairs += count
-            visited[rows] |= reached
-            frontier = np.zeros_like(visited)
-            frontier[rows] = reached
-        diameter = max(diameter, level)
+        t, p, d = _bfs_batch(indptr, indices, rows, sources[lo:lo + BATCH_SOURCES],
+                             leaves[lo:lo + BATCH_SOURCES])
+        total += t
+        pairs += p
+        diameter = max(diameter, d)
     return total, pairs, diameter
 
 
@@ -109,9 +179,13 @@ def brandes(indptr, indices, rindptr, rindices):
     """
     n = indptr.shape[0] - 1
     bc = np.zeros(n, np.float64)
+    active = np.flatnonzero(np.diff(indptr))
     per = max(1, BATCH_ENTRIES // max(n, 1))
-    for lo in range(0, n, per):
-        sources = np.arange(lo, min(lo + per, n), dtype=np.int64)
+    # First-touch scratch, shared by every level of every batch.
+    mark = np.empty(per * n, np.int64)
+    slot = np.empty(per * n, np.int64)
+    for lo in range(0, active.shape[0], per):
+        sources = active[lo:lo + per]
         b = sources.shape[0]
         roots = np.arange(b, dtype=np.int64) * n + sources
         dist = np.full(b * n, -1, np.int32)
@@ -130,11 +204,14 @@ def brandes(indptr, indices, rindptr, rindices):
                 break
             cand = cand[fresh]
             parent = np.repeat(frontier, counts)[fresh]
-            reached, first, inverse = np.unique(
-                cand, return_index=True, return_inverse=True)
-            sigma[reached] = np.bincount(inverse, weights=sigma[parent])
+            k = np.arange(cand.shape[0])
+            mark[cand] = cand.shape[0]
+            np.minimum.at(mark, cand, k)
+            reached = cand[mark[cand] == k]
+            slot[reached] = np.arange(reached.shape[0])
+            sigma[reached] = np.bincount(slot[cand], weights=sigma[parent])
             dist[reached] = len(levels)
-            levels.append(reached[np.argsort(first)])
+            levels.append(reached)
         for depth in range(len(levels) - 1, 0, -1):
             w = levels[depth][::-1]
             coeff = (1.0 + delta[w]) / sigma[w]
@@ -174,7 +251,11 @@ def triangle_doubles(indptr, indices):
     first = np.repeat(edge, later)
     second = _ranges(edge + 1, later)
     v, w = hi[first], hi[second]
-    closed = np.isin(v * n + w, lo * n + hi)
+    # The sorted edge keys, ended by one above every key, so that each
+    # wedge key finds an entry to compare with.
+    keys = np.append(np.sort(lo * n + hi), n * n)
+    wedge = v * n + w
+    closed = keys[np.searchsorted(keys, wedge)] == wedge
     corners = np.concatenate((lo[first][closed], v[closed], w[closed]))
     return 2 * np.bincount(corners, minlength=n)
 
@@ -194,5 +275,9 @@ def component_labels(indptr, indices):
         nbr = indices[pos]
         before = root[nbr]
         np.minimum.at(root, nbr, np.repeat(root[frontier], counts))
-        frontier = np.unique(nbr[root[nbr] < before])
-    return np.unique(root, return_inverse=True)[1]
+        dropped = np.zeros(n, bool)
+        dropped[nbr[root[nbr] < before]] = True
+        frontier = np.flatnonzero(dropped)
+    is_root = np.zeros(n, bool)
+    is_root[root] = True
+    return (np.cumsum(is_root) - 1)[root]

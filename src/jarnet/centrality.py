@@ -93,7 +93,15 @@ def pagerank(
 
 
 def top_k(vector: CentralityVector, k: int = 10) -> list[tuple[str, float]]:
-    """Highest-scoring vertices; ties break alphabetically by label."""
-    order = sorted(range(len(vector.labels)),
-                   key=lambda i: (-vector.scores[i], vector.labels[i]))
-    return [(vector.labels[i], float(vector.scores[i])) for i in order[:k]]
+    """Highest-scoring vertices; ties break alphabetically by label.
+
+    Only the vertices scoring at least the k-th highest score are sorted;
+    they include every vertex tied with it.
+    """
+    scores = vector.scores
+    n = scores.shape[0]
+    candidates = range(n)
+    if 0 < k < n:
+        candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k]).tolist()
+    order = sorted(candidates, key=lambda i: (-scores[i], vector.labels[i]))
+    return [(vector.labels[i], float(scores[i])) for i in order[:k]]

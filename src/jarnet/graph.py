@@ -147,7 +147,10 @@ class UndirectedGraph:
         v = np.asarray(v, dtype=np.int64)
         keep = u != v
         u, v = u[keep], v[keep]
-        keys = np.unique(np.concatenate((u << 32 | v, v << 32 | u)))
+        keys = np.sort(np.concatenate((u << 32 | v, v << 32 | u)))
+        first = np.ones(keys.shape, bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
         self.labels = labels
         self._indptr = _indptr(keys >> 32, len(labels))
         self._indices = keys & 0xFFFFFFFF

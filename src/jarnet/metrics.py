@@ -65,8 +65,30 @@ def degrees(g: DirectedGraph) -> DegreeReport:
     )
 
 
-def _bfs_over_sources(indptr, indices, sources, exact) -> PathStats:
-    total, pairs, diameter = _kernels.bfs_stats(indptr, indices, sources)
+def _fold_leaves(indptr, indices, sources):
+    """The sources left to run on a symmetric CSR without self-loops, and
+    the number of leaves folded onto each.
+
+    A source of degree 1 whose neighbour has degree >= 2 and is a source
+    too is folded onto that neighbour; ``_kernels.bfs_stats`` counts its
+    paths from the neighbour's.
+    """
+    n = indptr.shape[0] - 1
+    deg = np.diff(indptr)
+    is_source = np.zeros(n, bool)
+    is_source[sources] = True
+    leaf = sources[deg[sources] == 1]
+    anchor = indices[indptr[leaf]]
+    fold = (deg[anchor] >= 2) & is_source[anchor]
+    is_source[leaf[fold]] = False
+    run = sources[is_source[sources]]
+    return run, np.bincount(anchor[fold], minlength=n)[run]
+
+
+def _bfs_over_sources(indptr, indices, sources, exact, symmetric) -> PathStats:
+    run, leaves = _fold_leaves(indptr, indices, sources) if exact and symmetric \
+        else (sources, None)
+    total, pairs, diameter = _kernels.bfs_stats(indptr, indices, run, leaves)
     average = total / pairs if pairs else 0.0
     return PathStats(average, diameter, pairs, exact, int(sources.shape[0]))
 
@@ -100,7 +122,7 @@ def shortest_path_stats(
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'directed' or 'undirected'")
     sources, exact = _pick_sources(np.arange(g.n, dtype=np.int64), sample_sources, seed)
-    return _bfs_over_sources(indptr, indices, sources, exact)
+    return _bfs_over_sources(indptr, indices, sources, exact, mode == "undirected")
 
 
 def avg_clustering(g) -> float:
@@ -157,4 +179,4 @@ def giant_component_paths(
     comp = _components_from_csr(indptr, indices)
     giant = np.flatnonzero(comp.labels == comp.giant_label).astype(np.int64)
     sources, exact = _pick_sources(giant, sample_sources, seed)
-    return _bfs_over_sources(indptr, indices, sources, exact)
+    return _bfs_over_sources(indptr, indices, sources, exact, True)

@@ -6,6 +6,7 @@ a report; inputs are identified by content hash.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -228,8 +229,7 @@ def _summary_rows(report: dict) -> list[tuple[str, object]]:
             ("clustering_ratio", small_world["clustering_ratio"]),
             ("distance_ratio", small_world["distance_ratio"]),
         ]
-    total_fit = report["power_law"].get("total") \
-        if isinstance(report["power_law"], dict) else None
+    total_fit = report["power_law"].get("total")
     if isinstance(total_fit, dict) and "alpha" in total_fit:
         rows += [
             ("alpha_regression", total_fit["alpha"]),
@@ -238,11 +238,22 @@ def _summary_rows(report: dict) -> list[tuple[str, object]]:
     return rows
 
 
+@contextlib.contextmanager
+def _reading():
+    """Turn a missing or wrongly typed report section into a JarnetError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise JarnetError(f"report is missing section {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise JarnetError(f"report has a section of the wrong type: {exc}") from exc
+
+
 def render_csv(report: dict, measure: str = "summary") -> str:
     """One measure as CSV text (rank lists or the summary key/values)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    try:
+    with _reading():
         if measure in ("pagerank", "betweenness", "degree"):
             section = report["rankings"][measure]
             if not isinstance(section, list):
@@ -263,8 +274,6 @@ def render_csv(report: dict, measure: str = "summary") -> str:
                 writer.writerow([name, _csv_value(value)])
         else:
             raise JarnetError(f"unknown measure {measure!r}")
-    except KeyError as exc:
-        raise JarnetError(f"report is missing section {exc}") from exc
     return buf.getvalue()
 
 
@@ -280,7 +289,7 @@ def render_table(report: dict) -> str:
     def row(name: str, value) -> None:
         lines.append(f"  {name:<26}{_fmt(value)}")
 
-    try:
+    with _reading():
         section("network summary")
         for name, value in _summary_rows(report):
             row(name.replace("_", " "), value)
@@ -312,7 +321,7 @@ def render_table(report: dict) -> str:
 
         power_law = report["power_law"]
         section("power law")
-        if isinstance(power_law, dict) and "skipped" in power_law:
+        if "skipped" in power_law:
             row("skipped", True)
         else:
             for which in ("total", "in", "out"):
@@ -351,8 +360,6 @@ def render_table(report: dict) -> str:
             row("paths", mode)
             skipped = provenance.get("skipped") or []
             row("skipped stages", ", ".join(skipped) if skipped else "(none)")
-    except KeyError as exc:
-        raise JarnetError(f"report is missing section {exc}") from exc
     return "\n".join(lines) + "\n"
 
 

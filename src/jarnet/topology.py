@@ -183,9 +183,10 @@ def degree_histogram(g: DirectedGraph, which: str = "total") -> DegreeHistogram:
         values = g.out_degrees()
     else:
         raise ValueError(f"unknown degree kind {which!r}")
-    degrees, counts = np.unique(values, return_counts=True)
+    counts = np.bincount(values)
+    degrees = np.flatnonzero(counts)
     return DegreeHistogram(degrees=degrees.astype(np.int64),
-                           counts=counts.astype(np.int64), which=which)
+                           counts=counts[degrees].astype(np.int64), which=which)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import bfs_oracle
 from jarnet import _kernels
 from jarnet.graph import DirectedGraph, undirected_projection
 from jarnet.metrics import (
+    _fold_leaves,
     _pick_sources,
     components,
     giant_component_paths,
@@ -162,3 +163,93 @@ def test_diameter_from_first_batch_survives_later_batches(monkeypatch):
         assert shortest_path_stats(g, mode="directed") == oracle_directed(g)
         assert shortest_path_stats(g, mode="directed").diameter == 20
         assert shortest_path_stats(g, mode="undirected").diameter == 20
+
+
+# -- skipped work: leaf fold, sources that reach nothing, saturated rows --------
+
+def graph_of(edges, isolated=()):
+    g = DirectedGraph()
+    for label in isolated:
+        g.add_vertex(label)
+    for u, v in edges:
+        g.add_edge_labels(u, v)
+    return g
+
+
+def path_edges(prefix, length):
+    return [(f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(length)]
+
+
+# Graphs whose only diametral pairs are two leaves folded onto a vertex.
+LEAF_DIAMETER_GRAPHS = {
+    "three_path": graph_of(path_edges("p", 2)),
+    "star": graph_of([("hub", f"s{i}") for i in range(6)]),
+    "k2_components": graph_of([(f"a{i}", f"b{i}") for i in range(4)]),
+    "path_plus_k2": graph_of(path_edges("p", 5) + [("x", "y")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_DIAMETER_GRAPHS))
+def test_leaf_diameters_match_oracle(monkeypatch, name):
+    g = LEAF_DIAMETER_GRAPHS[name]
+    for width in (64, 512):
+        monkeypatch.setattr(_kernels, "BATCH_SOURCES", width)
+        assert shortest_path_stats(g, mode="undirected") == oracle_undirected(g)
+        assert giant_component_paths(g) == oracle_giant(g)
+        assert shortest_path_stats(g, mode="directed") == oracle_directed(g)
+
+
+def test_leaf_fold_runs_fewer_sources():
+    g = LEAF_DIAMETER_GRAPHS["path_plus_k2"]
+    indptr, indices = undirected_projection(g).to_csr()
+    run, leaves = _fold_leaves(indptr, indices, np.arange(g.n, dtype=np.int64))
+    # p0 and p5 fold onto p1 and p4; the K2's ends keep their own runs.
+    assert [g.labels[v] for v in run] == ["p1", "p2", "p3", "p4", "x", "y"]
+    assert leaves.tolist() == [1, 0, 0, 1, 0, 0]
+    assert shortest_path_stats(g, mode="undirected").diameter == 5
+
+
+def test_hub_with_more_than_256_leaves(monkeypatch):
+    # 300 leaves need nine bit planes; a second anchor with 5 leaves and a
+    # tail make the diametral pair a hub leaf and the tail's end.
+    edges = [("hub", f"l{i}") for i in range(300)] + [("hub", "t0")]
+    edges += path_edges("t", 4) + [(f"m{i}", "t2") for i in range(5)]
+    g = graph_of(edges)
+    for width in (64, 512):
+        monkeypatch.setattr(_kernels, "BATCH_SOURCES", width)
+        assert shortest_path_stats(g, mode="undirected") == oracle_undirected(g)
+        assert giant_component_paths(g) == oracle_giant(g)
+    assert shortest_path_stats(g, mode="undirected").diameter == 6
+
+
+def test_sources_that_reach_nothing_are_skipped():
+    # Every source is a sink, so the kernel runs none of them.
+    g = graph_of([("a", "c"), ("b", "c"), ("c", "d"), ("e", "d")], isolated=["z"])
+    sinks = np.array([g.vertex_id("d"), g.vertex_id("z")], np.int64)
+    assert _kernels.bfs_stats(*g.to_csr(reverse=True), sinks) == (0, 0, 0)
+    assert bfs_oracle.path_stats(*g.to_csr(), sinks, True).finite_pairs == 0
+    assert shortest_path_stats(g, mode="directed") == oracle_directed(g)
+
+
+def test_saturated_rows_across_several_rebuilds(monkeypatch):
+    # On a long path, the rows a batch has filled grow by about one per
+    # level, so the live rows fall below 70% more than once per batch.
+    g = graph_of(path_edges("q", 300) + [("q150", f"r{i}") for i in range(40)])
+    gathers = []
+    neighbours = _kernels._neighbours
+
+    def counting(indptr, rows):
+        gathers.append(rows.shape[0])
+        return neighbours(indptr, rows)
+
+    monkeypatch.setattr(_kernels, "_neighbours", counting)
+    monkeypatch.setattr(_kernels, "BATCH_SOURCES", 64)
+    assert shortest_path_stats(g, mode="undirected") == oracle_undirected(g)
+    assert shortest_path_stats(g, mode="directed") == oracle_directed(g)
+    batches = -(-g.n // 64)
+    assert len(gathers) > 2 * batches
+    # One batch whose last word is partial: its rows fill up too.
+    gathers.clear()
+    monkeypatch.setattr(_kernels, "BATCH_SOURCES", 512)
+    assert shortest_path_stats(g, mode="undirected") == oracle_undirected(g)
+    assert len(gathers) >= 2

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from jarnet.centrality import betweenness, pagerank, top_k
+from jarnet.centrality import CentralityVector, betweenness, pagerank, top_k
 from jarnet.graph import DirectedGraph
 
 from test_metrics import digraph, random_digraph
@@ -177,3 +177,20 @@ def test_top_k_truncates_and_sorts():
     assert len(ranked) == 2
     assert ranked[0][1] >= ranked[1][1]
     assert ranked[0][0] == g.labels[1]  # the hub collects the most mass
+
+
+def full_sort_top_k(vec, k):
+    order = sorted(range(len(vec.labels)), key=lambda i: (-vec.scores[i], vec.labels[i]))
+    return [(vec.labels[i], float(vec.scores[i])) for i in order[:k]]
+
+
+@pytest.mark.parametrize("scores", [
+    [3.0, 1.0, 2.0, 2.0, 2.0, 0.5, 2.0, 1.0],   # a tie of four straddles k = 2..4
+    [0.0] * 8,
+    [5.0, 4.0, 3.0, 2.0, 1.0, 0.0, -0.0, 0.0],
+])
+def test_top_k_matches_full_sort(scores):
+    labels = ["h", "c", "a", "g", "b", "f", "e", "d"]
+    vec = CentralityVector("score", labels, np.array(scores))
+    for k in (0, 1, 2, 3, 4, 5, 8, 9, 13):
+        assert top_k(vec, k) == full_sort_top_k(vec, k), k

@@ -79,3 +79,11 @@ def test_long_path_labels_in_one_component():
     comp = components(g)
     assert (comp.count, comp.giant_size) == (1, 200)
     assert giant_component_paths(g).diameter == 199
+
+
+def test_kernels_accept_a_graph_without_vertices():
+    csr = undirected_projection(edgeless(0)).to_csr()
+    assert _kernels.triangle_doubles(*csr).tolist() == []
+    assert _kernels.component_labels(*csr).tolist() == []
+    assert _kernels.bfs_stats(*csr, np.zeros(0, np.int64)) == (0, 0, 0)
+    assert _kernels.brandes(*csr, *csr).tolist() == []

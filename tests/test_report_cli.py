@@ -346,6 +346,27 @@ def test_report_bad_json_exits_2(tmp_path, capsys):
     assert stderr
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("key, value, measure", [
+    pytest.param("power_law", [], "summary", id="power_law-list"),
+    pytest.param("summary", [], "summary", id="summary-list"),
+    pytest.param("small_world", 3, "summary", id="small_world-int"),
+    pytest.param("rankings", {"degree": [1]}, "degree", id="degree-row-int"),
+])
+def test_report_sections_of_wrong_type_exit_2(sample_jar, tmp_path, capsys,
+                                              fmt, key, value, measure):
+    rep = _analyzed(sample_jar, tmp_path, capsys)
+    report = json.loads(rep.read_text(encoding="utf-8"))
+    report[key] = value
+    rep.write_text(json.dumps(report), encoding="utf-8")
+    argv = ["report", str(rep), "--format", fmt]
+    if fmt == "csv":
+        argv += ["--measure", measure]
+    code, _, stderr = run(argv, capsys)
+    assert code == 2
+    assert "wrong type" in stderr and "internal error" not in stderr
+
+
 def test_report_to_file(sample_jar, tmp_path, capsys):
     rep = _analyzed(sample_jar, tmp_path, capsys)
     dest = tmp_path / "rendered.txt"
@@ -377,3 +398,14 @@ def test_cli_import_leaves_out_network_and_thread_pool_modules():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.usefixtures("src_on_pythonpath")
+def test_default_analyze_leaves_out_numpy_ma(medium_jar, tmp_path, capsys):
+    gexf = _extract_and_build(medium_jar, tmp_path, capsys, prefix="app")
+    probe = ("import sys; from jarnet.cli import main; "
+             f"code = main(['analyze', {str(gexf)!r}, '-o', {str(tmp_path / 'r.json')!r}]); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
