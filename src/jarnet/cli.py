@@ -16,6 +16,7 @@ from .gexf import export_gexf, import_gexf
 from .graph import build_graph
 from .names import read_relation_table, write_relation_table
 from .report import (
+    MEASURES,
     STAGES,
     analyze_graph,
     render_csv,
@@ -105,7 +106,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON, bad UTF-8 and ints over the digit limit.
+    except (ValueError, RecursionError) as exc:
         raise JarnetError(f"{args.report}: not a valid report file: {exc}") \
             from exc
     if not isinstance(report, dict):
@@ -190,10 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output file ('-' for stdout)")
     p_report.add_argument("--format", choices=("table", "csv"),
                           default="table")
-    p_report.add_argument("--measure",
-                          choices=("summary", "degree", "betweenness",
-                                   "pagerank", "communities"),
-                          default="summary",
+    p_report.add_argument("--measure", choices=MEASURES, default="summary",
                           help="which measure a CSV rendering shows")
     p_report.set_defaults(func=_cmd_report)
     return parser
@@ -207,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except JarnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (JarnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - contract: 3 = internal error

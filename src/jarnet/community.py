@@ -43,19 +43,18 @@ def _score(proj: UndirectedGraph, assignments, resolution: float) -> float:
     m = proj.m
     if m == 0:
         return 0.0
-    intra: dict[int, int] = {}
-    for u, v in proj.edges():
-        cu = int(assignments[u])
-        if cu == int(assignments[v]):
-            intra[cu] = intra.get(cu, 0) + 1
-    deg = proj.degrees()
-    d_c: dict[int, int] = {}
-    for v in range(proj.n):
-        c = int(assignments[v])
-        d_c[c] = d_c.get(c, 0) + int(deg[v])
+    indptr, indices = proj.to_csr()
+    dense, n_comms = _renumber(np.asarray(assignments, dtype=np.int64).tolist())
+    comm = np.asarray(dense, dtype=np.int64)
+    rows = np.repeat(comm, np.diff(indptr))
+    # A community's degree sum counts the CSR entries in its rows, and an
+    # inner edge fills two. Python floats in first-appearance order: numpy's
+    # x ** 2 is x * x, which differs from Python's in the last bit for some x.
+    d_c = np.bincount(rows, minlength=n_comms).tolist()
+    intra2 = np.bincount(rows[rows == comm[indices]], minlength=n_comms).tolist()
     q = 0.0
-    for c, d in d_c.items():
-        q += intra.get(c, 0) / m - resolution * (d / (2.0 * m)) ** 2
+    for e2, d in zip(intra2, d_c):
+        q += e2 // 2 / m - resolution * (d / (2.0 * m)) ** 2
     return q
 
 
@@ -189,26 +188,24 @@ def _exact_partition(adj, k, two_m, resolution):
     return best
 
 
-def _one_run(adj0, two_m, resolution, rng):
-    """Full greedy pipeline: move/aggregate levels, then a vertex-level
-    refinement sweep starting from the coarse result."""
+def _one_run(adj0, k0, two_m, resolution, rng):
+    """Full greedy pipeline from level-0 strengths ``k0``: move/aggregate
+    levels, then a vertex-level refinement sweep from the coarse result."""
     n0 = len(adj0)
     membership = list(range(n0))
-    adj = adj0
+    adj, k = adj0, k0
     self_w = [0.0] * n0
     while True:
-        cur_n = len(adj)
-        k = [sum(adj[u].values()) + 2.0 * self_w[u] for u in range(cur_n)]
-        order = list(range(cur_n))
+        order = list(range(len(adj)))
         rng.shuffle(order)
         comm, moved = _local_move(adj, k, two_m, resolution, order)
         dense, n_comms = _renumber(comm)
-        if not moved or n_comms == cur_n:
+        if not moved or n_comms == len(adj):
             break
         membership = [dense[membership[v]] for v in range(n0)]
         adj, self_w = _aggregate(adj, self_w, dense, n_comms)
+        k = [sum(adj[u].values()) + 2.0 * self_w[u] for u in range(n_comms)]
     dense, _ = _renumber(membership)
-    k0 = [sum(adj0[u].values()) for u in range(n0)]
     order = list(range(n0))
     rng.shuffle(order)
     refined, moved = _local_move(adj0, k0, two_m, resolution, order, init=dense)
@@ -235,17 +232,17 @@ def louvain(g, resolution: float = 1.0, seed: int = 0, restarts: int = 5) -> Par
     adj0: list[dict[int, float]] = [
         dict.fromkeys(neighbors[bounds[u]:bounds[u + 1]], 1.0) for u in range(n)
     ]
+    k0 = proj.degrees().astype(np.float64).tolist()
     two_m = 2.0 * proj.m
     best: list[int] = list(range(n))
     if two_m > 0 and n <= _EXACT_LIMIT:
-        k0 = [sum(adj0[u].values()) for u in range(n)]
         best = _exact_partition(adj0, k0, two_m, resolution)
     elif two_m > 0:
         master = random.Random(seed)
         best_obj = -math.inf
         for _ in range(restarts):
             rng = random.Random(master.randrange(2**63))
-            membership = _one_run(adj0, two_m, resolution, rng)
+            membership = _one_run(adj0, k0, two_m, resolution, rng)
             obj = _score(proj, membership, resolution)
             if obj > best_obj:
                 best_obj = obj

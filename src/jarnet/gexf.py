@@ -11,7 +11,7 @@ from pathlib import Path
 from xml.parsers import expat
 
 from .errors import EdgeListParseError, GexfSchemaError
-from .graph import METHOD_SEP, DirectedGraph
+from .graph import DirectedGraph
 
 _NS = "http://www.gexf.net/1.2draft"
 
@@ -45,7 +45,7 @@ def export_gexf(g: DirectedGraph, path) -> None:
         for vid, label in enumerate(g.labels):
             fh.write(f'      <node id="{vid}" label={_quoteattr(label)}>\n')
             fh.write('        <attvalues>\n')
-            fh.write(f'          <attvalue for="0" value="{g.kinds[vid]}"/>\n')
+            fh.write(f'          <attvalue for="0" value={_quoteattr(g.kinds[vid])}/>\n')
             fh.write('        </attvalues>\n')
             fh.write('      </node>\n')
         fh.write('    </nodes>\n')

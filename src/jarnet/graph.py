@@ -6,20 +6,9 @@ Vertices are labeled units: ``pkg.Class`` (kind "class") or
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .names import QualifiedName, RelationTable, UnitKind
-
-METHOD_SEP = "::"
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    label: str
-    kind: str
+from .names import METHOD_SEP, QualifiedName, RelationTable, UnitKind
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -81,9 +70,6 @@ class DirectedGraph:
 
     def vertex_id(self, label: str) -> int | None:
         return self._ids.get(label)
-
-    def vertex(self, vid: int) -> Vertex:
-        return Vertex(vid, self.labels[vid], self.kinds[vid])
 
     def has_edge(self, src: int, dst: int) -> bool:
         return (src << 32 | dst) in self._keys

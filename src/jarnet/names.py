@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import MalformedRecord
 
 _HEADER = ["caller_kind", "caller", "callee_kind", "callee"]
+METHOD_SEP = "::"
 
 
 class UnitKind(Enum):
@@ -41,7 +42,7 @@ class QualifiedName:
     def render(self, with_descriptor: bool = False) -> str:
         text = self.class_name
         if self.method is not None:
-            text += f"::{self.method}"
+            text += METHOD_SEP + self.method
             if with_descriptor and self.descriptor is not None:
                 text += self.descriptor
         return text
@@ -64,7 +65,7 @@ class QualifiedName:
     def parse(text: str) -> "QualifiedName":
         """Parse a rendered name, with or without a trailing descriptor."""
         descriptor = None
-        class_part, sep, method = text.partition("::")
+        class_part, sep, method = text.partition(METHOD_SEP)
         if sep and "(" in method:
             cut = method.index("(")
             method, descriptor = method[:cut], method[cut:]
@@ -169,15 +170,15 @@ def read_relation_table(path) -> RelationTable:
         return kind
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        head = fh.readline()
-        if not head:
-            raise MalformedRecord(f"{path}: empty table")
-        delim = "\t" if "\t" in head else ","
-        if [c.strip() for c in head.rstrip("\n").split(delim)] != _HEADER:
-            raise MalformedRecord(f"{path}: unexpected header {head!r}")
-        records = []
-        reader = csv.reader(fh, delimiter=delim)
         try:
+            head = fh.readline()
+            if not head:
+                raise MalformedRecord(f"{path}: empty table")
+            delim = "\t" if "\t" in head else ","
+            if [c.strip() for c in head.rstrip("\n").split(delim)] != _HEADER:
+                raise MalformedRecord(f"{path}: unexpected header {head!r}")
+            records = []
+            reader = csv.reader(fh, delimiter=delim)
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -191,4 +192,6 @@ def read_relation_table(path) -> RelationTable:
         except csv.Error as exc:
             # The header was read before the reader, so it is line 1.
             raise MalformedRecord(f"{path}:{reader.line_num + 1}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"{path}: not UTF-8 text: {exc}") from exc
     return RelationTable(records=records, source_archive=str(path))

@@ -24,6 +24,7 @@ from .topology import DegreeHistogram, PowerLawFit, degree_histogram, \
     fit_power_law, small_world_test
 
 __all__ = [
+    "MEASURES",
     "STAGES",
     "AnalysisResult",
     "analyze_graph",
@@ -180,6 +181,9 @@ def analyze_graph(
 
 
 # -- rendering ------------------------------------------------------------------
+
+MEASURES = ("summary", "degree", "betweenness", "pagerank", "communities")
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):

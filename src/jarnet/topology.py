@@ -134,8 +134,8 @@ def small_world_test(
     if c_real is None:
         c_real = avg_clustering(proj)
     if real_paths is None:
-        real_paths = shortest_path_stats(proj, sample_sources=sample_sources,
-                                         seed=seed)
+        real_paths = shortest_path_stats(g, mode="undirected",
+                                         sample_sources=sample_sources, seed=seed)
     d_real = real_paths.average
     random_cs: list[float] = []
     random_ds: list[float] = []
@@ -199,27 +199,19 @@ class PowerLawFit:
     method: str = "loglog_regression"
 
 
-def _hurwitz_zeta(s: float, a: float, terms: int = 1000) -> float:
-    """Sum of (a+j)^-s for j >= 0 via direct terms + tail correction."""
-    j = np.arange(terms, dtype=np.float64)
-    head = float(((a + j) ** -s).sum())
-    edge = a + terms
-    tail = edge ** (1.0 - s) / (s - 1.0) + 0.5 * edge ** -s \
-        + s * edge ** (-s - 1.0) / 12.0
-    return head + tail
-
-
-def _hurwitz_zeta_deriv(s: float, a: float, terms: int = 1000) -> float:
-    """d/ds of the sum above (always negative for s > 1)."""
-    j = np.arange(terms, dtype=np.float64)
-    u = a + j
-    head = float((np.log(u) * u ** -s).sum())
+def _hurwitz_zeta(s: float, a: float, terms: int = 1000) -> tuple[float, float]:
+    """Sum of (a+j)^-s for j >= 0 via direct terms + tail correction, and
+    its derivative in s (always negative for s > 1)."""
+    u = a + np.arange(terms, dtype=np.float64)
+    powers = u ** -s
     edge = a + terms
     ln_edge = math.log(edge)
-    tail = edge ** (1.0 - s) * (ln_edge * (s - 1.0) + 1.0) / (s - 1.0) ** 2 \
-        + 0.5 * ln_edge * edge ** -s \
-        + (s * ln_edge - 1.0) * edge ** (-s - 1.0) / 12.0
-    return -(head + tail)
+    rise, fall, fall1 = edge ** (1.0 - s), edge ** -s, edge ** (-s - 1.0)
+    value = float(powers.sum()) + (rise / (s - 1.0) + 0.5 * fall + s * fall1 / 12.0)
+    slope = -(float((np.log(u) * powers).sum())
+              + (rise * (ln_edge * (s - 1.0) + 1.0) / (s - 1.0) ** 2
+                 + 0.5 * ln_edge * fall + (s * ln_edge - 1.0) * fall1 / 12.0))
+    return value, slope
 
 
 def _mle_exponent(ks: np.ndarray, cs: np.ndarray, x_min: int) -> float:
@@ -233,7 +225,8 @@ def _mle_exponent(ks: np.ndarray, cs: np.ndarray, x_min: int) -> float:
     mean_ln = float((cs * np.log(ks)).sum()) / float(cs.sum())
 
     def gap(alpha: float) -> float:
-        return -_hurwitz_zeta_deriv(alpha, a) / _hurwitz_zeta(alpha, a) - mean_ln
+        value, slope = _hurwitz_zeta(alpha, a)
+        return -slope / value - mean_ln
 
     lo, hi = 1.0 + 1e-9, 2.0
     while gap(hi) > 0.0 and hi < 1024.0:
@@ -274,7 +267,7 @@ def fit_power_law(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
     mle_alpha = _mle_exponent(ks, cs, x_min)
     k_max = int(ks.max())
     grid = np.arange(x_min, k_max + 1, dtype=np.float64)
-    pmf = grid ** -mle_alpha / _hurwitz_zeta(mle_alpha, float(x_min))
+    pmf = grid ** -mle_alpha / _hurwitz_zeta(mle_alpha, float(x_min))[0]
     model_cdf = np.cumsum(pmf)
     observed = np.zeros(grid.size)
     observed[(ks - x_min).astype(np.int64)] = cs

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from jarnet.graph import METHOD_SEP, Vertex
+from jarnet.graph import METHOD_SEP
 
 
 class DirectedGraph:
@@ -58,9 +58,6 @@ class DirectedGraph:
 
     def vertex_id(self, label: str) -> int | None:
         return self._ids.get(label)
-
-    def vertex(self, vid: int) -> Vertex:
-        return Vertex(vid, self.labels[vid], self.kinds[vid])
 
     def has_edge(self, src: int, dst: int) -> bool:
         return dst in self._succ[src]
