@@ -47,7 +47,7 @@ never approximated.
 """
 from __future__ import annotations
 
-import numpy as np
+from ._lazy import np
 
 
 def _ranges(starts, counts):

@@ -3,9 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _kernels
+from ._lazy import np
 from .errors import EmptyGraph
 from .graph import DirectedGraph
 

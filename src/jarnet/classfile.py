@@ -70,14 +70,17 @@ _LENGTHS[OP_TABLESWITCH] = _LENGTHS[OP_LOOKUPSWITCH] = _LENGTHS[OP_WIDE] = -1
 
 def _decode_mutf8(raw: bytes) -> str:
     # JVM modified UTF-8: embedded NUL is C0 80, supplementary chars use
-    # CESU-8 surrogate pairs; both are rare, so try plain UTF-8 first.
+    # CESU-8 surrogate pairs; both are rare, so try plain UTF-8 first. A
+    # UTF-16 round trip joins each pair into the character it encodes and
+    # maps an unpaired surrogate to U+FFFD, as for other invalid bytes.
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
         try:
-            return raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
+            text = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
         except UnicodeDecodeError:
             return raw.decode("utf-8", "replace")
+        return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "replace")
 
 
 def _bad_index(tags: dict[int, int], index: int, what: str) -> MalformedConstantPool:

@@ -9,8 +9,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .errors import EmptyGraph, PartitionMismatch
 from .graph import UndirectedGraph
 

@@ -7,6 +7,7 @@ it from the label separator otherwise.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from xml.parsers import expat
 
@@ -33,7 +34,24 @@ def _quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
+# Characters that XML 1.0 cannot carry, not even as a character reference.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_xml_chars(g: DirectedGraph, path) -> None:
+    if _NOT_XML.search("\n".join(g.labels + g.kinds)) is None:
+        return
+    for vid, (label, kind) in enumerate(zip(g.labels, g.kinds)):
+        bad = _NOT_XML.search(label) or _NOT_XML.search(kind)
+        if bad:
+            raise GexfSchemaError(f"{path}: vertex {vid} ({label!r}) holds "
+                                  f"{bad.group()!r}, which XML 1.0 cannot carry")
+
+
 def export_gexf(g: DirectedGraph, path) -> None:
+    """Write ``g`` as GEXF; a label or kind that XML 1.0 cannot carry
+    raises GexfSchemaError before the file is opened."""
+    _check_xml_chars(g, path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
         fh.write(f'<gexf xmlns="{_NS}" version="1.2">\n')

@@ -6,8 +6,7 @@ Vertices are labeled units: ``pkg.Class`` (kind "class") or
 """
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import np
 from .names import METHOD_SEP, QualifiedName, RelationTable, UnitKind
 
 
@@ -96,10 +95,10 @@ class DirectedGraph:
         return indices[indptr[vid]:indptr[vid + 1]].tolist()
 
     def edges(self):
-        """Iterate (src, dst) pairs sorted by source then target."""
-        indptr, indices, _, _ = self._arrays()
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        return zip(src.tolist(), indices.tolist())
+        """Iterate (src, dst) pairs sorted by source then target.
+
+        Sorts the keys in Python, so export needs neither the CSR nor numpy."""
+        return ((key >> 32, key & 0xFFFFFFFF) for key in sorted(self._keys))
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._arrays()[0])

@@ -13,8 +13,7 @@ import io
 import os
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .centrality import CentralityVector, betweenness, pagerank, top_k
 from .community import community_size_distribution, louvain
 from .errors import DegenerateGraph, DegenerateHistogram, JarnetError

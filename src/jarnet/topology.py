@@ -4,8 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DegenerateGraph, DegenerateHistogram
 from .graph import DirectedGraph, UndirectedGraph
 from .metrics import PathStats, avg_clustering, giant_component_paths, \

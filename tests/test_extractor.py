@@ -174,6 +174,26 @@ def test_static_initializer_caller_name():
     assert rows_of(records) == [("M", "p.Holder::<clinit>", "S", "p.Factory::make")]
 
 
+def test_surrogate_pairs_in_names_are_joined(tmp_path):
+    # U+1D465 as a CESU-8 surrogate pair, then an unpaired high surrogate,
+    # patched over ASCII placeholders of the same byte length.
+    cb = ClassBuilder("p/Math")
+    c = cb.code()
+    c.invokestatic("p/Other", "run", "()V")
+    c.return_()
+    cb.add_method("aQQQQQQbZZZ", "()V", code=c, access=ACC_STATIC)
+    data = (cb.build().replace(b"QQQQQQ", b"\xed\xa0\xb5\xed\xb1\xa5")
+            .replace(b"ZZZ", b"\xed\xa0\x80"))
+    jar = tmp_path / "math.jar"
+    jar.write_bytes(make_jar([("p/Math.class", data)]))
+    table = extract_archive(jar)
+    assert rows(table) == [("M", "p.Math::a\U0001d465b\ufffd", "S", "p.Other::run")]
+    out = tmp_path / "rel.csv"
+    write_relation_table(table, out)
+    assert out.read_text(encoding="utf-8").splitlines()[1] == \
+        "M,p.Math::a\U0001d465b\ufffd,S,p.Other::run"
+
+
 def test_extraction_is_deterministic(medium_jar, tmp_path):
     a = extract_archive(medium_jar)
     b = extract_archive(medium_jar)

@@ -140,6 +140,29 @@ def test_build_oversized_field_exits_2(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_build_label_xml_cannot_carry_exits_2(tmp_path, capsys):
+    # A vertical tab in a table row, and NUL from a modified UTF-8 C0 80
+    # method name in an archive.
+    vt_table = tmp_path / "vt.csv"
+    vt_table.write_text("caller_kind,caller,callee_kind,callee\n"
+                        "M,app.A::m\x0b,M,app.B::n\n", encoding="utf-8")
+    cb = ClassBuilder("app/C")
+    c = cb.code()
+    c.invokestatic("app/D", "run", "()V")
+    c.return_()
+    cb.add_method("aQQ", "()V", code=c)
+    jar = tmp_path / "nul.jar"
+    jar.write_bytes(make_jar([("app/C.class", cb.build().replace(b"QQ", b"\xc0\x80"))]))
+    nul_table = tmp_path / "nul.csv"
+    assert run(["extract", str(jar), "-o", str(nul_table)], capsys)[0] == 0
+    for table, label in ((vt_table, "app.A::m\x0b"), (nul_table, "app.C::a\x00")):
+        gexf = tmp_path / "bad.gexf"
+        code, _, err = run(["build", str(table), "-o", str(gexf)], capsys)
+        assert code == 2, err
+        assert repr(label) in err and "XML 1.0" in err
+        assert not gexf.exists()
+
+
 # -- analyze ------------------------------------------------------------------
 
 def _triangle_gexf(tmp_path):
@@ -409,3 +432,26 @@ def test_default_analyze_leaves_out_numpy_ma(medium_jar, tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.usefixtures("src_on_pythonpath")
+def test_only_analyze_loads_numpy(medium_jar, tmp_path):
+    table, gexf = tmp_path / "rel.csv", tmp_path / "net.gexf"
+    report, text = tmp_path / "r.json", tmp_path / "r.txt"
+    steps = [
+        (["--version"], False),
+        (["--help"], False),
+        (["extract", str(medium_jar), "-o", str(table)], False),
+        (["build", str(table), "-o", str(gexf), "--prefix", "app"], False),
+        (["analyze", str(gexf), "-o", str(report)], True),
+        (["report", str(report), "-o", str(text)], False),
+    ]
+    for argv, loads in steps:
+        probe = ("import sys\nfrom jarnet.cli import main\n"
+                 f"try:\n    code = main({argv!r})\n"
+                 "except SystemExit as exc:\n    code = exc.code\n"
+                 "print(code, 'numpy._core' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", str(loads)], argv
