@@ -12,7 +12,7 @@ from .names import (
 from .classfile import ClassUnit, MethodInfo, parse_class
 from .extractor import classify_callee, extract_archive, extract_calls, open_archive
 from .graph import DirectedGraph, UndirectedGraph, build_graph, undirected_projection
-from .gexf import export_edge_list, export_gexf, import_edge_list, import_gexf
+from .gexf import export_gexf, import_gexf
 from .metrics import (
     ComponentReport,
     DegreeReport,
@@ -73,13 +73,11 @@ __all__ = [
     "degree_histogram",
     "degrees",
     "erdos_renyi",
-    "export_edge_list",
     "export_gexf",
     "extract_archive",
     "extract_calls",
     "fit_power_law",
     "giant_component_paths",
-    "import_edge_list",
     "import_gexf",
     "link_probability",
     "louvain",

@@ -97,6 +97,7 @@ def top_k(vector: CentralityVector, k: int = 10) -> list[tuple[str, float]]:
     Only the vertices scoring at least the k-th highest score are sorted;
     they include every vertex tied with it.
     """
+    k = max(k, 0)
     scores = vector.scores
     n = scores.shape[0]
     candidates = range(n)

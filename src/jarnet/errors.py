@@ -53,12 +53,6 @@ class MalformedRecord(JarnetError):
     pass
 
 
-class EdgeListParseError(JarnetError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class GexfSchemaError(JarnetError):
     pass
 

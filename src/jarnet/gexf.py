@@ -1,4 +1,4 @@
-"""Graph serialization: GEXF 1.2 export/import and plain edge lists.
+"""Graph serialization: GEXF 1.2 export and import.
 
 The exporter writes a fixed, deterministic layout (nodes by id, edges
 sorted by endpoints). The importer accepts any GEXF with node/edge
@@ -8,10 +8,9 @@ it from the label separator otherwise.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from xml.parsers import expat
 
-from .errors import EdgeListParseError, GexfSchemaError
+from .errors import GexfSchemaError
 from .graph import DirectedGraph
 
 _NS = "http://www.gexf.net/1.2draft"
@@ -75,11 +74,15 @@ def export_gexf(g: DirectedGraph, path) -> None:
         fh.write('</gexf>\n')
 
 
-# Where an element sits, which decides what import_gexf takes from it. Only
-# the first <graph> child of the root counts, and in it every node-class
-# <attributes> block but only the first <nodes> and <edges>; in a node, only
-# the first <attvalues>. Everything else is parsed and ignored.
-_IGNORED, _DOCUMENT, _ROOT, _GRAPH, _ATTRIBUTES, _NODES, _EDGES, _NODE, _ATTVALUES = range(9)
+# The local name of each element import_gexf takes, mapped to the local name
+# of the element it must sit in ("" for the document). An element counts
+# only when its parent counted and is the one listed here; any other element
+# is parsed and ignored with all it contains. Of <gexf>, <graph>, <nodes>,
+# <edges> and a node's <attvalues> only the first counts, and an
+# <attributes> block counts only for class "node".
+_PARENT = {"edge": "edges", "attvalue": "attvalues", "node": "nodes",
+           "attvalues": "node", "attribute": "attributes", "attributes": "graph",
+           "nodes": "graph", "edges": "graph", "graph": "gexf", "gexf": ""}
 
 
 def import_gexf(path) -> DirectedGraph:
@@ -91,58 +94,36 @@ def import_gexf(path) -> DirectedGraph:
     graph, and is derived from the label otherwise. Undirected edges add
     both directions.
     """
-    stack = [_DOCUMENT]
-    root_name = None
-    graph_attrs = None
-    seen_nodes = seen_edges = seen_attvalues = False
+    stack = [""]  # local name of each open element that counts, else False
+    first = {}    # local name -> attributes of the counted <gexf>, <graph>, ...
     kind_attr_id = None
     nodes = []   # (id, label)
     values = []  # (node index, for, value) of each attvalue
     edges = []   # (source, target, type)
 
     def start(name, attrs):
-        nonlocal root_name, graph_attrs, seen_nodes, seen_edges, seen_attvalues
         nonlocal kind_attr_id
-        parent = stack[-1]
         local = name.rpartition("}")[2]
-        child = _IGNORED
-        if parent == _NODES:
-            if local == "node":
-                child = _NODE
-                seen_attvalues = False
-                nodes.append((attrs.get("id"), attrs.get("label")))
-        elif parent == _EDGES:
-            if local == "edge":
-                edges.append((attrs.get("source"), attrs.get("target"), attrs.get("type")))
-        elif parent == _ATTVALUES:
-            if local == "attvalue":
-                values.append((len(nodes) - 1, attrs.get("for"), attrs.get("value")))
-        elif parent == _NODE:
-            if local == "attvalues" and not seen_attvalues:
-                child = _ATTVALUES
-                seen_attvalues = True
-        elif parent == _GRAPH:
-            if local == "attributes":
-                if attrs.get("class", "node") == "node":
-                    child = _ATTRIBUTES
-            elif local == "nodes" and not seen_nodes:
-                child = _NODES
-                seen_nodes = True
-            elif local == "edges" and not seen_edges:
-                child = _EDGES
-                seen_edges = True
-        elif parent == _ATTRIBUTES:
-            if local == "attribute" and attrs.get("title") == "kind":
+        if _PARENT.get(local) != stack[-1]:
+            local = False
+        elif local == "edge":
+            edges.append((attrs.get("source"), attrs.get("target"), attrs.get("type")))
+        elif local == "attvalue":
+            values.append((len(nodes) - 1, attrs.get("for"), attrs.get("value")))
+        elif local == "node":
+            nodes.append((attrs.get("id"), attrs.get("label")))
+            first.pop("attvalues", None)
+        elif local == "attribute":
+            if attrs.get("title") == "kind":
                 kind_attr_id = attrs.get("id")
-        elif parent == _ROOT:
-            if local == "graph" and graph_attrs is None:
-                child = _GRAPH
-                graph_attrs = attrs
-        elif parent == _DOCUMENT:
-            root_name = local
-            if local == "gexf":
-                child = _ROOT
-        stack.append(child)
+        elif local == "attributes":
+            if attrs.get("class", "node") != "node":
+                local = False
+        elif local in first:
+            local = False
+        else:
+            first[local] = attrs
+        stack.append(local)
 
     def end(_name):
         stack.pop()
@@ -166,11 +147,11 @@ def import_gexf(path) -> DirectedGraph:
         # or ValueError.
         except (expat.ExpatError, LookupError, ValueError) as exc:
             raise GexfSchemaError(f"{path}: not parseable XML ({exc})") from exc
-    if root_name != "gexf":
+    if "gexf" not in first:
         raise GexfSchemaError(f"{path}: root element is not <gexf>")
-    if graph_attrs is None:
+    if "graph" not in first:
         raise GexfSchemaError(f"{path}: missing <graph> element")
-    directed = graph_attrs.get("defaultedgetype", "undirected") == "directed"
+    directed = first["graph"].get("defaultedgetype", "undirected") == "directed"
 
     g = DirectedGraph()
     id_map: dict[str, int] = {}
@@ -198,32 +179,4 @@ def import_gexf(path) -> DirectedGraph:
         g.add_edge(src, dst)
         if not (directed if edge_type is None else edge_type == "directed"):
             g.add_edge(dst, src)
-    return g
-
-
-def export_edge_list(g: DirectedGraph, path) -> None:
-    """Two space-separated label columns per edge, sorted by vertex id."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for src, dst in g.edges():
-            a, b = g.labels[src], g.labels[dst]
-            if " " in a or " " in b:
-                raise ValueError(f"labels with spaces cannot be edge-listed: {a!r}, {b!r}")
-            fh.write(f"{a} {b}\n")
-
-
-def import_edge_list(path, directed: bool = True) -> DirectedGraph:
-    """Parse "src dst" lines; '#' starts a comment; blank lines are skipped."""
-    g = DirectedGraph()
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(lineno, f"expected 2 columns, got {len(parts)}")
-            g.add_edge_labels(parts[0], parts[1])
-            if not directed:
-                g.add_edge_labels(parts[1], parts[0])
     return g

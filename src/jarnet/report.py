@@ -19,8 +19,7 @@ from .community import community_size_distribution, louvain
 from .errors import DegenerateGraph, DegenerateHistogram, JarnetError
 from .graph import DirectedGraph
 from .metrics import avg_clustering, components, degrees, shortest_path_stats
-from .topology import DegreeHistogram, PowerLawFit, degree_histogram, \
-    fit_power_law, small_world_test
+from .topology import DegreeHistogram, degree_histogram, fit_power_law, small_world_test
 
 __all__ = [
     "MEASURES",
@@ -38,7 +37,6 @@ __all__ = [
 class AnalysisResult:
     sections: dict
     histograms: dict[str, DegreeHistogram] = field(default_factory=dict)
-    fits: dict[str, PowerLawFit] = field(default_factory=dict)
     community_sizes: list[int] | None = None
 
 
@@ -109,10 +107,7 @@ def _smallworld(run: _Run) -> dict:
 
 
 def _powerlaw(run: _Run) -> dict:
-    def fit(which, hist):
-        run.result.fits[which] = fitted = fit_power_law(hist)
-        return asdict(fitted)
-    return {which: run.guarded(fit, which, hist)
+    return {which: run.guarded(lambda h: asdict(fit_power_law(h)), hist)
             for which, hist in run.result.histograms.items()}
 
 
@@ -198,6 +193,14 @@ def _csv_value(value):
     return value
 
 
+def _dict(section, name: str) -> dict:
+    """``section``, checked to be a dict as a report section must be."""
+    if not isinstance(section, dict):
+        raise JarnetError(f"report has a section of the wrong type: {name} is "
+                          f"a {type(section).__name__}")
+    return section
+
+
 def _summary_rows(report: dict) -> list[tuple[str, object]]:
     s = report["summary"]
     rows: list[tuple[str, object]] = [
@@ -211,7 +214,7 @@ def _summary_rows(report: dict) -> list[tuple[str, object]]:
         ("giant_size", s["components"]["giant_size"]),
         ("giant_fraction", s["components"]["giant_fraction"]),
     ]
-    paths = s["paths"]
+    paths = _dict(s["paths"], "summary.paths")
     if "directed" in paths:
         rows += [
             ("avg_path_directed", paths["directed"]["average"]),
@@ -219,13 +222,13 @@ def _summary_rows(report: dict) -> list[tuple[str, object]]:
             ("avg_path_undirected", paths["undirected"]["average"]),
             ("diameter_undirected", paths["undirected"]["diameter"]),
         ]
-    communities = report["communities"]
+    communities = _dict(report["communities"], "communities")
     if "count" in communities:
         rows += [
             ("communities", communities["count"]),
             ("modularity_q", communities["q"]),
         ]
-    small_world = report["small_world"]
+    small_world = _dict(report["small_world"], "small_world")
     if "verdict" in small_world:
         rows += [
             ("small_world_verdict", small_world["verdict"]),
@@ -265,7 +268,7 @@ def render_csv(report: dict, measure: str = "summary") -> str:
             for row in section:
                 writer.writerow([row["rank"], row["label"], row["score"]])
         elif measure == "communities":
-            communities = report["communities"]
+            communities = _dict(report["communities"], "communities")
             if "sizes_top" not in communities:
                 raise JarnetError("communities were skipped in this report")
             writer.writerow(["rank", "size"])
@@ -385,8 +388,9 @@ def write_plot_data(result: AnalysisResult, directory) -> list[str]:
              zip(hist.degrees.tolist(), hist.counts.tolist()))
     emit("power_law_fits.csv",
          ["which", "alpha", "x_min", "goodness", "mle_alpha", "mle_goodness"],
-         [[which, fit.alpha, fit.x_min, fit.goodness, fit.mle_alpha,
-           fit.mle_goodness] for which, fit in result.fits.items()])
+         [[which, fit["alpha"], fit["x_min"], fit["goodness"], fit["mle_alpha"],
+           fit["mle_goodness"]] for which, fit in result.sections["power_law"].items()
+          if isinstance(fit, dict) and "alpha" in fit])
     if result.community_sizes is not None:
         emit("community_sizes.csv", ["rank", "size"],
              ((i, size) for i, size in

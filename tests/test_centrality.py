@@ -168,6 +168,7 @@ def test_top_k_orders_and_breaks_ties_by_label():
     vec = pagerank(g)  # no edges: all scores equal -> pure tie-break
     ranked = top_k(vec, 3)
     assert [label for label, _ in ranked] == ["alpha", "beta", "delta"]
+    assert top_k(vec, -1) == [] and top_k(vec, -4) == []
 
 
 def test_top_k_truncates_and_sorts():

@@ -1,18 +1,12 @@
-"""GEXF and edge-list I/O round trips and schema validation."""
+"""GEXF I/O round trips and schema validation."""
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from jarnet.errors import EdgeListParseError, GexfSchemaError
-from jarnet.gexf import (
-    _quoteattr,
-    export_edge_list,
-    export_gexf,
-    import_edge_list,
-    import_gexf,
-)
+from jarnet.errors import GexfSchemaError
+from jarnet.gexf import _quoteattr, export_gexf, import_gexf
 from jarnet.graph import DirectedGraph, build_graph
 from jarnet.names import RelationTable
 
@@ -149,40 +143,6 @@ def test_networkx_can_read_our_gexf(tmp_path):
     assert h.number_of_edges() == g.m
     labels = {data["label"] for _, data in h.nodes(data=True)}
     assert labels == set(g.labels)
-
-
-def test_edge_list_round_trip(tmp_path):
-    g = small_graph()
-    path = tmp_path / "g.edges"
-    export_edge_list(g, path)
-    back = import_edge_list(path, directed=True)
-    assert set(back.labels) == set(g.labels)
-    back_edges = {(back.labels[u], back.labels[v]) for u, v in back.edges()}
-    ours = {(g.labels[u], g.labels[v]) for u, v in g.edges()}
-    assert back_edges == ours
-
-
-def test_edge_list_comments_and_blanks(tmp_path):
-    path = tmp_path / "in.edges"
-    path.write_text("# header comment\n\na b\nb c  # trailing note\n")
-    g = import_edge_list(path, directed=True)
-    assert set(g.labels) == {"a", "b", "c"}
-    assert g.m == 2
-
-
-def test_edge_list_undirected_adds_both_directions(tmp_path):
-    path = tmp_path / "in.edges"
-    path.write_text("a b\n")
-    g = import_edge_list(path, directed=False)
-    assert sorted(g.edges()) == [(0, 1), (1, 0)]
-
-
-def test_edge_list_bad_line_reports_number(tmp_path):
-    path = tmp_path / "in.edges"
-    path.write_text("a b\nonly-one-token\n")
-    with pytest.raises(EdgeListParseError) as err:
-        import_edge_list(path, directed=True)
-    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("label", [

@@ -120,6 +120,18 @@ DOCUMENTS = {
         f'{node(0, "a")}<node id="1" label="b"><node id="2" label="inner"/></node></nodes>'
         '<edges><edge source="0" target="1"><edge source="0" target="9"/></edge></edges>'
         '</graph></gexf>', True),
+    "misplaced_known_elements": (
+        f'<gexf {NS}><nodes>{node(8, "root")}</nodes><graph defaultedgetype="directed">'
+        f'{node(7, "graph")}{KIND[:-len("</attributes>")]}'
+        '<attributes><attribute id="1" title="kind"/></attributes></attributes>'
+        '<attribute id="1" title="kind"/><nodes><node id="0" label="a"><attvalues>'
+        '<attvalue for="0" value="k"/><attvalues><attvalue for="0" value="nested"/>'
+        '</attvalues></attvalues><attvalue for="0" value="outside"/></node>'
+        f'<edge source="1" target="0"/>{node(1, "b")}</nodes>'
+        f'<edges>{node(2, "edges")}<attvalues><attvalue for="0" value="z"/></attvalues>'
+        '<edge source="0" target="1"/></edges>'
+        f'<gexf><graph><nodes>{node(3, "inner")}</nodes></graph></gexf></graph></gexf>',
+        True),
     "prefixed_namespace": (
         '<g:gexf xmlns:g="urn:g"><g:graph defaultedgetype="directed"><g:nodes>'
         '<g:node id="a" g:label="ignored"/><g:node id="b" label="B"/></g:nodes>'
@@ -176,6 +188,8 @@ def test_layout_semantics(tmp_path):
     assert (g.labels, list(g.edges())) == (["a", "b"], [(0, 1)])
     g = load("node_without_label")
     assert (g.labels, g.kinds) == (["pkg.K::m", "n2"], ["method", "class"])
+    g = load("misplaced_known_elements")
+    assert (g.labels, g.kinds, list(g.edges())) == (["a", "b"], ["k", "class"], [(0, 1)])
     g = load("prefixed_namespace")
     assert (g.labels, list(g.edges())) == (["a", "B"], [(0, 1)])
 

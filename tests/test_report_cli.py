@@ -375,12 +375,21 @@ def test_report_bad_json_exits_2(tmp_path, capsys):
     pytest.param("summary", [], "summary", id="summary-list"),
     pytest.param("small_world", 3, "summary", id="small_world-int"),
     pytest.param("rankings", {"degree": [1]}, "degree", id="degree-row-int"),
+    pytest.param("communities", [], "summary", id="communities-list"),
+    pytest.param("communities", [], "communities", id="communities-list-measure"),
+    pytest.param("small_world", [], "summary", id="small_world-list"),
+    pytest.param("small_world", "x", "summary", id="small_world-str"),
+    pytest.param("summary.paths", [], "summary", id="summary.paths-list"),
 ])
 def test_report_sections_of_wrong_type_exit_2(sample_jar, tmp_path, capsys,
                                               fmt, key, value, measure):
     rep = _analyzed(sample_jar, tmp_path, capsys)
     report = json.loads(rep.read_text(encoding="utf-8"))
-    report[key] = value
+    *outer, last = key.split(".")
+    section = report
+    for name in outer:
+        section = section[name]
+    section[last] = value
     rep.write_text(json.dumps(report), encoding="utf-8")
     argv = ["report", str(rep), "--format", fmt]
     if fmt == "csv":

@@ -7,7 +7,7 @@ import pytest
 
 from jarnet.extractor import extract_archive
 from jarnet.graph import build_graph
-from jarnet.report import STAGES, analyze_graph
+from jarnet.report import STAGES, AnalysisResult, analyze_graph, write_plot_data
 
 from test_bench_contract import load_tracing
 
@@ -83,7 +83,6 @@ def test_skipping_leaves_other_sections_alone(medium_graph):
             else:
                 assert section == full_stages[name], (skip, name)
         assert sections["incomplete"] is True
-        assert result.fits == ({} if "powerlaw" in skip else full.fits), skip
         assert result.community_sizes == (
             None if "communities" in skip else full.community_sizes), skip
 
@@ -110,3 +109,15 @@ def test_stages_call_through_rebound_module_names(medium_graph, skip):
     assert {name: tracer.calls[name] for name in STAGE_CALLS} == expected
     assert tracer.calls["centrality.pagerank"] == 1
     assert tracer.calls["metrics.avg_clustering"] == (1 if skip else 3)
+
+
+def test_power_law_fits_csv_lists_only_fitted_entries(tmp_path):
+    fit = {"alpha": 2.5, "x_min": 1, "goodness": 0.75, "mle_alpha": 2.25,
+           "mle_goodness": 0.125, "method": "loglog_regression"}
+    header = "which,alpha,x_min,goodness,mle_alpha,mle_goodness\n"
+    for power_law, rows in (
+            ({"total": fit, "in": {"error": "DegenerateHistogram: flat"}, "out": fit},
+             "total,2.5,1,0.75,2.25,0.125\nout,2.5,1,0.75,2.25,0.125\n"),
+            ({"skipped": True}, "")):
+        write_plot_data(AnalysisResult(sections={"power_law": power_law}), tmp_path)
+        assert (tmp_path / "power_law_fits.csv").read_text(encoding="utf-8") == header + rows
