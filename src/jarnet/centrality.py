@@ -16,43 +16,19 @@ class CentralityVector:
     measure: str
     labels: list[str] = field(repr=False)
     scores: np.ndarray = field(repr=False)
-    normalized: bool = False
     converged: bool = True
     iterations: int = 0
 
 
-def betweenness(
-    g: DirectedGraph,
-    directed: bool = True,
-    normalized: bool = False,
-) -> CentralityVector:
-    """Shortest-path betweenness (endpoints excluded).
-
-    The undirected variant runs on the projection and halves the scores so
-    each unordered pair is counted once. Normalization divides by the number
-    of pairs that could route through a vertex: (n-1)(n-2) directed,
-    (n-1)(n-2)/2 undirected.
-    """
+def betweenness(g: DirectedGraph) -> CentralityVector:
+    """Raw directed shortest-path betweenness (endpoints excluded), as
+    networkx's ``betweenness_centrality(normalized=False)`` gives it."""
     if g.n == 0:
         raise EmptyGraph("betweenness needs at least one vertex")
-    n = g.n
-    if directed:
-        indptr, indices = g.to_csr()
-        rindptr, rindices = g.to_csr(reverse=True)
-    else:
-        indptr, indices = g.undirected().to_csr()
-        rindptr, rindices = indptr, indices
-    scores = _kernels.brandes(indptr, indices, rindptr, rindices)
-    if not directed:
-        scores /= 2.0
-    if normalized:
-        denom = float((n - 1) * (n - 2))
-        if not directed:
-            denom /= 2.0
-        if denom > 0:
-            scores = scores / denom
-    return CentralityVector("betweenness", list(g.labels), scores,
-                            normalized=normalized)
+    indptr, indices = g.to_csr()
+    rindptr, rindices = g.to_csr(reverse=True)
+    return CentralityVector("betweenness", list(g.labels),
+                            _kernels.brandes(indptr, indices, rindptr, rindices))
 
 
 def pagerank(
@@ -87,8 +63,7 @@ def pagerank(
             converged = True
             break
     return CentralityVector("pagerank", list(g.labels), rank,
-                            normalized=True, converged=converged,
-                            iterations=iterations)
+                            converged=converged, iterations=iterations)
 
 
 def top_k(vector: CentralityVector, k: int = 10) -> list[tuple[str, float]]:

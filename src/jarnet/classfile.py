@@ -100,7 +100,7 @@ class ConstantPool:
     text, ``classes`` to an internal class name, ``nats`` to ``(name,
     descriptor)``, ``field_refs`` to ``(class, name, descriptor)`` and
     ``method_refs`` (Methodref and InterfaceMethodref) to ``(class, name,
-    descriptor, is_interface)``. The lookup methods raise
+    descriptor, is_interface)``. ``utf8`` and ``class_name`` raise
     MalformedConstantPool for an index that does not hold the kind asked for.
     """
 
@@ -117,24 +117,11 @@ class ConstantPool:
             raise _bad_index(self.tags, index, what)
         return value
 
-    def tag(self, index: int) -> int:
-        return self._lookup(self.tags, index, "an entry")
-
     def utf8(self, index: int) -> str:
         return self._lookup(self.utf8s, index, "Utf8")
 
     def class_name(self, index: int) -> str:
         return self._lookup(self.classes, index, "Class")
-
-    def name_and_type(self, index: int) -> tuple[str, str]:
-        return self._lookup(self.nats, index, "NameAndType")
-
-    def method_ref(self, index: int) -> tuple[str, str, str, bool]:
-        """Returns (class internal name, method name, descriptor, is_interface)."""
-        return self._lookup(self.method_refs, index, "a method ref")
-
-    def field_ref(self, index: int) -> tuple[str, str, str]:
-        return self._lookup(self.field_refs, index, "a field ref")
 
 
 @dataclass

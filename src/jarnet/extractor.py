@@ -176,13 +176,8 @@ def open_archive(path, tolerant: bool = False, on_skip=None):
             yield info.filename, data
 
 
-def extract_archive(path, tolerant: bool = False, threads: int = 1) -> RelationTable:
-    """Parse every class in the archive and build the full relation table.
-
-    ``threads`` is accepted for compatibility and has no effect: parsing
-    is pure Python, so threads contend for the interpreter lock and ran
-    slower than one thread.
-    """
+def extract_archive(path, tolerant: bool = False) -> RelationTable:
+    """Parse every class in the archive and build the full relation table."""
     stats = ExtractStats()
 
     def skipped(_name, _exc):

@@ -67,12 +67,6 @@ class DirectedGraph:
     def m(self) -> int:
         return len(self._keys)
 
-    def vertex_id(self, label: str) -> int | None:
-        return self._ids.get(label)
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        return (src << 32 | dst) in self._keys
-
     def _arrays(self) -> tuple[np.ndarray, ...]:
         """(out indptr, out indices, in indptr, in indices), rows sorted."""
         if self._csr is None:
@@ -85,14 +79,6 @@ class DirectedGraph:
             self._csr = (_indptr(src, self.n), dst,
                          _indptr(dst[by_dst], self.n), src[by_dst])
         return self._csr
-
-    def successors(self, vid: int) -> list[int]:
-        indptr, indices, _, _ = self._arrays()
-        return indices[indptr[vid]:indptr[vid + 1]].tolist()
-
-    def predecessors(self, vid: int) -> list[int]:
-        _, _, indptr, indices = self._arrays()
-        return indices[indptr[vid]:indptr[vid + 1]].tolist()
 
     def edges(self):
         """Iterate (src, dst) pairs sorted by source then target.

@@ -25,8 +25,6 @@ class DegreeReport:
     in_degrees: np.ndarray
     out_degrees: np.ndarray
     total_degrees: np.ndarray
-    avg_in: float
-    avg_out: float
     avg_degree: float
 
 
@@ -58,8 +56,6 @@ def degrees(g: DirectedGraph) -> DegreeReport:
         in_degrees=ind,
         out_degrees=outd,
         total_degrees=ind + outd,
-        avg_in=g.m / g.n,
-        avg_out=g.m / g.n,
         avg_degree=g.m / g.n,
     )
 

@@ -193,17 +193,22 @@ def _csv_value(value):
     return value
 
 
-def _dict(section, name: str) -> dict:
-    """``section``, checked to be a dict as a report section must be."""
-    if not isinstance(section, dict):
+def _checked(section, name: str, kind: type = dict):
+    """``section``, checked to be of ``kind``, as that report section must be."""
+    if not isinstance(section, kind):
         raise JarnetError(f"report has a section of the wrong type: {name} is "
                           f"a {type(section).__name__}")
     return section
 
 
-def _summary_rows(report: dict) -> list[tuple[str, object]]:
-    s = report["summary"]
-    rows: list[tuple[str, object]] = [
+def _key_value_sections(report: dict) -> dict[str, list[tuple[str, object]]]:
+    """The table's key/value sections by title, each report section read and
+    type-checked once. Summary rows are named as the summary CSV prints them."""
+    s = _checked(report["summary"], "summary")
+    paths = _checked(s["paths"], "summary.paths")
+    communities, small_world, power_law = (
+        _checked(report[name], name) for name in ("communities", "small_world", "power_law"))
+    summary: list[tuple[str, object]] = [
         ("vertices", s["vertices"]),
         ("edges", s["edges"]),
         ("method_vertices", s["kind_counts"]["method"]),
@@ -214,34 +219,70 @@ def _summary_rows(report: dict) -> list[tuple[str, object]]:
         ("giant_size", s["components"]["giant_size"]),
         ("giant_fraction", s["components"]["giant_fraction"]),
     ]
-    paths = _dict(s["paths"], "summary.paths")
+    sections = {"network summary": summary, "small world": [("skipped", True)],
+                "communities": [("skipped", True)], "power law": [("skipped", True)]}
     if "directed" in paths:
-        rows += [
+        summary += [
             ("avg_path_directed", paths["directed"]["average"]),
             ("diameter_directed", paths["directed"]["diameter"]),
             ("avg_path_undirected", paths["undirected"]["average"]),
             ("diameter_undirected", paths["undirected"]["diameter"]),
         ]
-    communities = _dict(report["communities"], "communities")
     if "count" in communities:
-        rows += [
+        summary += [
             ("communities", communities["count"]),
             ("modularity_q", communities["q"]),
         ]
-    small_world = _dict(report["small_world"], "small_world")
+        sections["communities"] = [
+            ("count", communities["count"]),
+            ("modularity q", communities["q"]),
+            ("mean size", communities["mean_size"]),
+            ("top share", communities["top_share"]),
+        ]
     if "verdict" in small_world:
-        rows += [
+        summary += [
             ("small_world_verdict", small_world["verdict"]),
             ("clustering_ratio", small_world["clustering_ratio"]),
             ("distance_ratio", small_world["distance_ratio"]),
         ]
-    total_fit = report["power_law"].get("total")
-    if isinstance(total_fit, dict) and "alpha" in total_fit:
-        rows += [
-            ("alpha_regression", total_fit["alpha"]),
-            ("alpha_mle", total_fit["mle_alpha"]),
+        sections["small world"] = [
+            ("link probability", small_world["p"]),
+            ("clustering real", small_world["c_real"]),
+            ("clustering random mean", small_world["c_random_mean"]),
+            ("avg path real", small_world["d_real"]),
+            ("avg path random mean", small_world["d_random_mean"]),
+            ("replicates", small_world["replicates"]),
+            ("verdict", small_world["verdict"]),
         ]
-    return rows
+    elif "error" in small_world:
+        sections["small world"] = [("error", small_world["error"])]
+    if "skipped" not in power_law:
+        law = sections["power law"] = []
+        for which in ("total", "in", "out"):
+            fit = _checked(power_law[which], f"power_law.{which}")
+            if "error" in fit:
+                law.append((f"{which} degrees", fit["error"]))
+                continue
+            if which == "total":
+                summary += [
+                    ("alpha_regression", fit["alpha"]),
+                    ("alpha_mle", fit["mle_alpha"]),
+                ]
+            law += [
+                (f"{which} alpha (regression)", fit["alpha"]),
+                (f"{which} alpha (mle)", fit["mle_alpha"]),
+                (f"{which} r2 / ks", f"{_fmt(fit['goodness'])} / "
+                                     f"{_fmt(fit['mle_goodness'])}"),
+            ]
+    return sections
+
+
+def _rankings(report: dict, measures=("degree", "betweenness", "pagerank")):
+    """Yield (measure, rows) for each ranking in ``measures`` whose stage ran."""
+    for measure in measures:
+        ranks = report["rankings"][measure]
+        if ranks != {"skipped": True}:
+            yield measure, _checked(ranks, f"rankings.{measure}", list)
 
 
 @contextlib.contextmanager
@@ -261,14 +302,14 @@ def render_csv(report: dict, measure: str = "summary") -> str:
     writer = csv.writer(buf, lineterminator="\n")
     with _reading():
         if measure in ("pagerank", "betweenness", "degree"):
-            section = report["rankings"][measure]
-            if not isinstance(section, list):
+            ranks = dict(_rankings(report, (measure,))).get(measure)
+            if ranks is None:
                 raise JarnetError(f"{measure} was skipped in this report")
             writer.writerow(["rank", "label", "score"])
-            for row in section:
+            for row in ranks:
                 writer.writerow([row["rank"], row["label"], row["score"]])
         elif measure == "communities":
-            communities = _dict(report["communities"], "communities")
+            communities = _checked(report["communities"], "communities")
             if "sizes_top" not in communities:
                 raise JarnetError("communities were skipped in this report")
             writer.writerow(["rank", "size"])
@@ -276,7 +317,7 @@ def render_csv(report: dict, measure: str = "summary") -> str:
                 writer.writerow([i, size])
         elif measure == "summary":
             writer.writerow(["measure", "value"])
-            for name, value in _summary_rows(report):
+            for name, value in _key_value_sections(report)["network summary"]:
                 writer.writerow([name, _csv_value(value)])
         else:
             raise JarnetError(f"unknown measure {measure!r}")
@@ -296,56 +337,12 @@ def render_table(report: dict) -> str:
         lines.append(f"  {name:<26}{_fmt(value)}")
 
     with _reading():
-        section("network summary")
-        for name, value in _summary_rows(report):
-            row(name.replace("_", " "), value)
+        for title, rows in _key_value_sections(report).items():
+            section(title)
+            for name, value in rows:
+                row(name.replace("_", " "), value)
 
-        small_world = report["small_world"]
-        section("small world")
-        if "verdict" in small_world:
-            row("link probability", small_world["p"])
-            row("clustering real", small_world["c_real"])
-            row("clustering random mean", small_world["c_random_mean"])
-            row("avg path real", small_world["d_real"])
-            row("avg path random mean", small_world["d_random_mean"])
-            row("replicates", small_world["replicates"])
-            row("verdict", small_world["verdict"])
-        elif "error" in small_world:
-            row("error", small_world["error"])
-        else:
-            row("skipped", True)
-
-        communities = report["communities"]
-        section("communities")
-        if "count" in communities:
-            row("count", communities["count"])
-            row("modularity q", communities["q"])
-            row("mean size", communities["mean_size"])
-            row("top share", communities["top_share"])
-        else:
-            row("skipped", True)
-
-        power_law = report["power_law"]
-        section("power law")
-        if "skipped" in power_law:
-            row("skipped", True)
-        else:
-            for which in ("total", "in", "out"):
-                fit = power_law.get(which)
-                if not isinstance(fit, dict):
-                    continue
-                if "error" in fit:
-                    row(f"{which} degrees", fit["error"])
-                else:
-                    row(f"{which} alpha (regression)", fit["alpha"])
-                    row(f"{which} alpha (mle)", fit["mle_alpha"])
-                    row(f"{which} r2 / ks", f"{_fmt(fit['goodness'])} / "
-                                            f"{_fmt(fit['mle_goodness'])}")
-
-        for measure in ("degree", "betweenness", "pagerank"):
-            ranks = report["rankings"][measure]
-            if not isinstance(ranks, list):
-                continue
+        for measure, ranks in _rankings(report):
             section(f"top {len(ranks)} by {measure}")
             for entry in ranks:
                 lines.append(f"  {entry['rank']:>3}  {entry['label']}  "

@@ -240,8 +240,7 @@ def test_criterion_7_hibernate_reproduction():
     """Full-pipeline reproduction of the reference measurements for the
     Hibernate 5.1.3 core archive, tolerance-banded."""
     with criterion(7, "hibernate reproduction", budget=600.0):
-        table = extract_archive(HIBERNATE_JAR, tolerant=True,
-                                threads=os.cpu_count() or 1)
+        table = extract_archive(HIBERNATE_JAR, tolerant=True)
         g = build_graph(table, package_prefix="org.hibernate")
 
         expected = HIBERNATE_EXPECTED

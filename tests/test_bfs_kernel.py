@@ -225,7 +225,7 @@ def test_hub_with_more_than_256_leaves(monkeypatch):
 def test_sources_that_reach_nothing_are_skipped():
     # Every source is a sink, so the kernel runs none of them.
     g = graph_of([("a", "c"), ("b", "c"), ("c", "d"), ("e", "d")], isolated=["z"])
-    sinks = np.array([g.vertex_id("d"), g.vertex_id("z")], np.int64)
+    sinks = np.array([g.labels.index("d"), g.labels.index("z")], np.int64)
     assert _kernels.bfs_stats(*g.to_csr(reverse=True), sinks) == (0, 0, 0)
     assert bfs_oracle.path_stats(*g.to_csr(), sinks, True).finite_pairs == 0
     assert shortest_path_stats(g, mode="directed") == oracle_directed(g)

@@ -67,7 +67,7 @@ def test_long_and_double_occupy_two_slots():
     code = unit.methods[0].code
     ops = list(instructions(code))
     assert [op for _, op, _ in ops] == [0x14, 0xB8, 0xB1]
-    target = unit.constants.method_ref(struct.unpack(">H", ops[1][2])[0])
+    target = unit.constants.method_refs[struct.unpack(">H", ops[1][2])[0]]
     assert target[:3] == ("p/Helper", "consume", "(J)V")
 
 

@@ -1,8 +1,8 @@
 """The offset-based class-file parser and call extractor against the oracle.
 
 ``classfile_oracle`` holds the cursor parser, walker and extractor they
-replaced. On valid classes both must give equal units, constant-pool
-lookups, records and counters. On seeded byte mutations and truncations
+replaced. On valid classes both must give equal units, constant pools,
+records and counters. On seeded byte mutations and truncations
 the new code must accept exactly the inputs the oracle accepts, with equal
 output, and reject the rest with a ClassFormatError and nothing else.
 """
@@ -30,6 +30,8 @@ from jarnet.errors import ClassFormatError, MalformedConstantPool
 from jarnet.extractor import extract_archive, extract_calls
 from jarnet.names import ExtractStats
 
+# Each table of a jarnet pool, and the oracle lookup that reads the same kind.
+TABLES = ("tags", "utf8s", "classes", "nats", "field_refs", "method_refs")
 LOOKUPS = ("tag", "utf8", "class_name", "name_and_type", "field_ref", "method_ref")
 
 
@@ -84,10 +86,15 @@ def jar_classes(jar: bytes) -> list[tuple[str, bytes]]:
 
 
 def pool_view(pool, count: int) -> list:
-    """Every lookup at every index: its value, or None where it raises."""
+    """Every kind of entry at every index: its value, or None where there is
+    none. A jarnet pool is read through its tables, an oracle pool through
+    its lookups (None where they raise)."""
     view = []
     for index in range(count + 2):
-        for lookup in LOOKUPS:
+        for table, lookup in zip(TABLES, LOOKUPS, strict=True):
+            if not isinstance(pool, oracle.ConstantPool):
+                view.append(getattr(pool, table).get(index))
+                continue
             try:
                 view.append(getattr(pool, lookup)(index))
             except MalformedConstantPool:

@@ -197,11 +197,10 @@ def test_surrogate_pairs_in_names_are_joined(tmp_path):
 def test_extraction_is_deterministic(medium_jar, tmp_path):
     a = extract_archive(medium_jar)
     b = extract_archive(medium_jar)
-    c = extract_archive(medium_jar, threads=3)
-    assert a.records == b.records == c.records
+    assert a.records == b.records
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     write_relation_table(a, pa)
-    write_relation_table(c, pb)
+    write_relation_table(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
 
 

@@ -380,6 +380,8 @@ def test_report_bad_json_exits_2(tmp_path, capsys):
     pytest.param("small_world", [], "summary", id="small_world-list"),
     pytest.param("small_world", "x", "summary", id="small_world-str"),
     pytest.param("summary.paths", [], "summary", id="summary.paths-list"),
+    pytest.param("rankings.degree", "abc", "degree", id="degree-str"),
+    pytest.param("power_law", {"total": "x"}, "summary", id="power_law.total-str"),
 ])
 def test_report_sections_of_wrong_type_exit_2(sample_jar, tmp_path, capsys,
                                               fmt, key, value, measure):
