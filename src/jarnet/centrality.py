@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from . import _kernels
 from ._lazy import np
 from .errors import EmptyGraph
-from .graph import DirectedGraph
+from .graph import DirectedGraph, UndirectedGraph
 
 __all__ = ["CentralityVector", "betweenness", "pagerank", "top_k"]
 
@@ -20,15 +20,19 @@ class CentralityVector:
     iterations: int = 0
 
 
-def betweenness(g: DirectedGraph) -> CentralityVector:
-    """Raw directed shortest-path betweenness (endpoints excluded), as
-    networkx's ``betweenness_centrality(normalized=False)`` gives it."""
+def betweenness(g: DirectedGraph | UndirectedGraph) -> CentralityVector:
+    """Raw shortest-path betweenness (endpoints excluded), as networkx's
+    ``betweenness_centrality(normalized=False)`` gives it: over ordered
+    pairs of a DirectedGraph, over unordered pairs of an UndirectedGraph."""
     if g.n == 0:
         raise EmptyGraph("betweenness needs at least one vertex")
     indptr, indices = g.to_csr()
     rindptr, rindices = g.to_csr(reverse=True)
-    return CentralityVector("betweenness", list(g.labels),
-                            _kernels.brandes(indptr, indices, rindptr, rindices))
+    scores = _kernels.brandes(indptr, indices, rindptr, rindices)
+    if isinstance(g, UndirectedGraph):
+        # The kernel walks each unordered pair both ways; halving is exact.
+        scores *= 0.5
+    return CentralityVector("betweenness", list(g.labels), scores)
 
 
 def pagerank(

@@ -86,32 +86,56 @@ _PARENT = {"edge": "edges", "attvalue": "attvalues", "node": "nodes",
 
 
 def import_gexf(path) -> DirectedGraph:
-    """Read a GEXF file into a graph, streaming it through expat.
+    """Read a GEXF file into a graph, building it while expat parses.
 
     Node ids map to vertices in document order; a node without a label is
     labelled by its id. Its kind is the value of the ``kind`` node
     attribute if one is declared, wherever the declaration sits in the
     graph, and is derived from the label otherwise. Undirected edges add
-    both directions.
+    both directions. Malformed XML is reported even after a bad node.
     """
+    g = DirectedGraph()
     stack = [""]  # local name of each open element that counts, else False
     first = {}    # local name -> attributes of the counted <gexf>, <graph>, ...
+    ids = {}      # node id -> vertex
+    kinds = {}    # kind value -> the one string object kept for it
     kind_attr_id = None
-    nodes = []   # (id, label)
-    values = []  # (node index, for, value) of each attvalue
-    edges = []   # (source, target, type)
+    values = []   # (vertex, for, value) of each attvalue
+    pending = []  # (source, target, type) of each edge naming a node not yet seen
+    fault = []    # the first bad node's message; nothing counts after it
+
+    def add_edge(src_id, dst_id, edge_type):
+        src, dst = ids[src_id], ids[dst_id]
+        g.add_edge(src, dst)
+        directed = first["graph"].get("defaultedgetype", "undirected") == "directed"
+        if not (directed if edge_type is None else edge_type == "directed"):
+            g.add_edge(dst, src)
 
     def start(name, attrs):
         nonlocal kind_attr_id
         local = name.rpartition("}")[2]
-        if _PARENT.get(local) != stack[-1]:
+        if fault or _PARENT.get(local) != stack[-1]:
             local = False
         elif local == "edge":
-            edges.append((attrs.get("source"), attrs.get("target"), attrs.get("type")))
+            edge = (attrs.get("source"), attrs.get("target"), attrs.get("type"))
+            if edge[0] in ids and edge[1] in ids:
+                add_edge(*edge)
+            else:
+                pending.append(edge)
         elif local == "attvalue":
-            values.append((len(nodes) - 1, attrs.get("for"), attrs.get("value")))
+            value = attrs.get("value")
+            values.append((len(ids) - 1, attrs.get("for"), kinds.setdefault(value, value)))
         elif local == "node":
-            nodes.append((attrs.get("id"), attrs.get("label")))
+            node_id = attrs.get("id")
+            label = attrs.get("label", node_id)
+            if node_id is None:
+                fault.append("node without id")
+            elif node_id in ids:
+                fault.append(f"duplicate node id {node_id!r}")
+            elif g.add_vertex(label) != len(ids):
+                fault.append(f"duplicate node label {label!r}")
+            else:
+                ids[node_id] = len(ids)
             first.pop("attvalues", None)
         elif local == "attribute":
             if attrs.get("title") == "kind":
@@ -147,36 +171,23 @@ def import_gexf(path) -> DirectedGraph:
         # or ValueError.
         except (expat.ExpatError, LookupError, ValueError) as exc:
             raise GexfSchemaError(f"{path}: not parseable XML ({exc})") from exc
+        finally:
+            # The handler reads the parser, which holds it: break that cycle, or
+            # the parse stays alive until the next full garbage collection.
+            parser.SkippedEntityHandler = None
     if "gexf" not in first:
         raise GexfSchemaError(f"{path}: root element is not <gexf>")
     if "graph" not in first:
         raise GexfSchemaError(f"{path}: missing <graph> element")
-    directed = first["graph"].get("defaultedgetype", "undirected") == "directed"
-
-    g = DirectedGraph()
-    id_map: dict[str, int] = {}
-    for node_id, label in nodes:
-        if node_id is None:
-            raise GexfSchemaError(f"{path}: node without id")
-        if node_id in id_map:
-            raise GexfSchemaError(f"{path}: duplicate node id {node_id!r}")
-        if label is None:
-            label = node_id
-        vid = g.add_vertex(label)
-        if vid != len(id_map):
-            raise GexfSchemaError(f"{path}: duplicate node label {label!r}")
-        id_map[node_id] = vid
+    if fault:
+        raise GexfSchemaError(f"{path}: {fault[0]}")
     if kind_attr_id is not None:
         for vid, attr_id, value in values:
             if attr_id == kind_attr_id and value is not None:
                 g.kinds[vid] = value
-
-    for src_id, dst_id, edge_type in edges:
-        if src_id not in id_map or dst_id not in id_map:
+    for edge in pending:
+        if edge[0] not in ids or edge[1] not in ids:
             raise GexfSchemaError(f"{path}: edge references unknown node "
-                                  f"({src_id!r} -> {dst_id!r})")
-        src, dst = id_map[src_id], id_map[dst_id]
-        g.add_edge(src, dst)
-        if not (directed if edge_type is None else edge_type == "directed"):
-            g.add_edge(dst, src)
+                                  f"({edge[0]!r} -> {edge[1]!r})")
+        add_edge(*edge)
     return g

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from jarnet import _kernels
 from jarnet.centrality import CentralityVector, betweenness, pagerank, top_k
 from jarnet.graph import DirectedGraph
 
@@ -55,13 +55,6 @@ def brute_betweenness(g: DirectedGraph, directed=True) -> np.ndarray:
     return bc
 
 
-def undirected_betweenness(g: DirectedGraph) -> np.ndarray:
-    """The kernel on the undirected projection, halved so each unordered
-    pair counts once."""
-    indptr, indices = g.undirected().to_csr()
-    return _kernels.brandes(indptr, indices, indptr, indices) / 2.0
-
-
 def test_path_graph_midpoint():
     g = digraph([(0, 1), (1, 2)])
     raw = betweenness(g)
@@ -70,7 +63,7 @@ def test_path_graph_midpoint():
 
 def test_undirected_star_center():
     g = digraph([(0, 1), (0, 2), (0, 3)])
-    assert undirected_betweenness(g)[0] == pytest.approx(3.0)  # C(3,2) leaf pairs
+    assert betweenness(g.undirected()).scores[0] == pytest.approx(3.0)  # C(3,2) leaf pairs
 
 
 def test_betweenness_matches_brute_force_directed():
@@ -87,9 +80,23 @@ def test_betweenness_matches_brute_force_undirected():
     rng = random.Random(14)
     for _ in range(15):
         g = random_digraph(rng.randrange(2, 20), rng.uniform(0.08, 0.3), rng)
-        got = undirected_betweenness(g)
+        got = betweenness(g.undirected()).scores
         want = brute_betweenness(g, directed=False)
         assert np.allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(digraph([(0, 1), (1, 2), (2, 3)]), id="path"),
+    pytest.param(random_digraph(40, 0.08, random.Random(19)), id="seeded"),
+])
+def test_projection_betweenness_matches_networkx(g):
+    """Each unordered pair counts once, as in networkx; on the path
+    a-b-c-d the inner vertices score 2, not the 4 of both directions."""
+    proj = nx.Graph(list(g.undirected().edges()))
+    proj.add_nodes_from(range(g.n))
+    want = nx.betweenness_centrality(proj, normalized=False)
+    got = betweenness(g.undirected()).scores
+    assert np.allclose(got, [want[v] for v in range(g.n)], atol=1e-9)
 
 
 def test_betweenness_deterministic():

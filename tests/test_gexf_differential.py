@@ -192,6 +192,8 @@ def test_layout_semantics(tmp_path):
     assert (g.labels, g.kinds, list(g.edges())) == (["a", "b"], ["k", "class"], [(0, 1)])
     g = load("prefixed_namespace")
     assert (g.labels, list(g.edges())) == (["a", "B"], [(0, 1)])
+    with pytest.raises(GexfSchemaError, match=r"\(undefined entity &undefined;: line 1\)$"):
+        load("undefined_entity_with_external_subset")
 
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
