@@ -1,7 +1,7 @@
 """Betweenness centrality, PageRank, and ranking helpers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _kernels
 from ._lazy import np
@@ -11,11 +11,10 @@ from .graph import DirectedGraph, UndirectedGraph
 __all__ = ["CentralityVector", "betweenness", "pagerank", "top_k"]
 
 
-@dataclass(frozen=True)
-class CentralityVector:
+class CentralityVector(NamedTuple):
     measure: str
-    labels: list[str] = field(repr=False)
-    scores: np.ndarray = field(repr=False)
+    labels: list[str]
+    scores: np.ndarray
     converged: bool = True
     iterations: int = 0
 

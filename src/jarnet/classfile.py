@@ -6,7 +6,7 @@ materialized; attribute bodies other than Code are skipped.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadMagic,
@@ -90,8 +90,7 @@ def _bad_index(tags: dict[int, int], index: int, what: str) -> MalformedConstant
     return MalformedConstantPool(f"constant {index} is not {what} (tag {tag})")
 
 
-@dataclass
-class ConstantPool:
+class ConstantPool(NamedTuple):
     """A validated constant pool with every cross-reference resolved.
 
     ``tags`` maps each 1-based index that holds an entry to its tag; the
@@ -124,16 +123,14 @@ class ConstantPool:
         return self._lookup(self.classes, index, "Class")
 
 
-@dataclass
-class MethodInfo:
+class MethodInfo(NamedTuple):
     name: str
     descriptor: str
     access_flags: int
     code: bytes | None
 
 
-@dataclass
-class ClassUnit:
+class ClassUnit(NamedTuple):
     name: str  # internal form, e.g. org/example/Foo
     super_name: str | None
     access_flags: int

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._lazy import np
 from .errors import EmptyGraph, PartitionMismatch
@@ -24,15 +24,13 @@ __all__ = [
 _GAIN_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Partition:
-    assignments: np.ndarray = field(repr=False)
+class Partition(NamedTuple):
+    assignments: np.ndarray
     n_communities: int
     q: float
 
 
-@dataclass(frozen=True)
-class CommunitySizeReport:
+class CommunitySizeReport(NamedTuple):
     sizes: list[int]
     mean: float
     top_share: float

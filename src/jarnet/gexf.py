@@ -100,6 +100,7 @@ def import_gexf(path) -> DirectedGraph:
     ids = {}      # node id -> vertex
     kinds = {}    # kind value -> the one string object kept for it
     kind_attr_id = None
+    default_directed = False  # set when the counted <graph> starts
     values = []   # (vertex, for, value) of each attvalue
     pending = []  # (source, target, type) of each edge naming a node not yet seen
     fault = []    # the first bad node's message; nothing counts after it
@@ -107,12 +108,11 @@ def import_gexf(path) -> DirectedGraph:
     def add_edge(src_id, dst_id, edge_type):
         src, dst = ids[src_id], ids[dst_id]
         g.add_edge(src, dst)
-        directed = first["graph"].get("defaultedgetype", "undirected") == "directed"
-        if not (directed if edge_type is None else edge_type == "directed"):
+        if not (default_directed if edge_type is None else edge_type == "directed"):
             g.add_edge(dst, src)
 
     def start(name, attrs):
-        nonlocal kind_attr_id
+        nonlocal kind_attr_id, default_directed
         local = name.rpartition("}")[2]
         if fault or _PARENT.get(local) != stack[-1]:
             local = False
@@ -147,6 +147,8 @@ def import_gexf(path) -> DirectedGraph:
             local = False
         else:
             first[local] = attrs
+            if local == "graph":
+                default_directed = attrs.get("defaultedgetype", "undirected") == "directed"
         stack.append(local)
 
     def end(_name):

@@ -1,7 +1,7 @@
 """Degree, clustering, shortest-path, and component measures."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _kernels
 from ._lazy import np
@@ -20,16 +20,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     in_degrees: np.ndarray
     out_degrees: np.ndarray
     total_degrees: np.ndarray
     avg_degree: float
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     average: float
     diameter: int
     finite_pairs: int
@@ -37,10 +35,9 @@ class PathStats:
     sources_used: int
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    labels: np.ndarray = field(repr=False)
-    count: int
+class ComponentReport(NamedTuple):
+    labels: np.ndarray
+    count: int  # shadows tuple.count
     sizes: tuple[int, ...]
     giant_label: int
     giant_size: int

@@ -8,9 +8,9 @@ descriptor mode is requested explicitly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import MalformedRecord
 
@@ -26,8 +26,7 @@ class UnitKind(Enum):
     CLASS = "C"
 
 
-@dataclass(frozen=True)
-class QualifiedName:
+class QualifiedName(NamedTuple):
     """A package-qualified class, optionally narrowed to one method."""
 
     package: str
@@ -75,57 +74,70 @@ class QualifiedName:
         return QualifiedName(package, cls, method if sep else None, descriptor)
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    """One row of the caller/callee relation."""
-
+class _CallFields(NamedTuple):  # a NamedTuple body cannot define __new__
     caller_kind: UnitKind
     caller: QualifiedName
     callee_kind: UnitKind
     callee: QualifiedName
 
-    def __post_init__(self):
-        class_level = self.caller_kind is UnitKind.CLASS
-        if class_level != (self.callee_kind is UnitKind.CLASS):
+
+class CallRecord(_CallFields):
+    """One row of the caller/callee relation."""
+
+    __slots__ = ()
+
+    def __new__(cls, caller_kind: UnitKind, caller: QualifiedName,
+                callee_kind: UnitKind, callee: QualifiedName) -> "CallRecord":
+        class_level = caller_kind is UnitKind.CLASS
+        if class_level != (callee_kind is UnitKind.CLASS):
             raise MalformedRecord("class-level records must be C on both sides")
         if class_level:
-            if self.caller.method is not None or self.callee.method is not None:
+            if caller.method is not None or callee.method is not None:
                 raise MalformedRecord("C records must not carry method names")
         else:
-            if self.caller.method is None:
+            if caller.method is None:
                 raise MalformedRecord("caller of a call record needs a method name")
-            if self.callee.method is None:
+            if callee.method is None:
                 raise MalformedRecord("callee of a call record needs a method name")
+        return tuple.__new__(cls, (caller_kind, caller, callee_kind, callee))
+
+    # _replace builds through _make: check its records too.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass
 class ExtractStats:
     """Scan diagnostics; call_sites - unresolved_sites call records were kept."""
 
-    entries_scanned: int = 0
-    entries_skipped: int = 0
-    call_sites: int = 0
-    unresolved_sites: int = 0
-    class_refs: int = 0
-    bad_code_methods: int = 0
+    def __init__(self, entries_scanned: int = 0, entries_skipped: int = 0,
+                 call_sites: int = 0, unresolved_sites: int = 0,
+                 class_refs: int = 0, bad_code_methods: int = 0):
+        self.entries_scanned = entries_scanned
+        self.entries_skipped = entries_skipped
+        self.call_sites = call_sites
+        self.unresolved_sites = unresolved_sites
+        self.class_refs = class_refs
+        self.bad_code_methods = bad_code_methods
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ExtractStats and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "ExtractStats(" + ", ".join(f"{k}={v}" for k, v in vars(self).items()) + ")"
 
     def merge(self, other: "ExtractStats") -> None:
-        self.entries_scanned += other.entries_scanned
-        self.entries_skipped += other.entries_skipped
-        self.call_sites += other.call_sites
-        self.unresolved_sites += other.unresolved_sites
-        self.class_refs += other.class_refs
-        self.bad_code_methods += other.bad_code_methods
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
 
-@dataclass
 class RelationTable:
     """The extracted caller/callee relation for one archive."""
 
-    records: list[CallRecord] = field(default_factory=list)
-    source_archive: str = ""
-    class_count: int = 0
-    stats: ExtractStats | None = None
+    def __init__(self, records: list[CallRecord] | None = None, source_archive: str = "",
+                 class_count: int = 0, stats: ExtractStats | None = None):
+        self.records = [] if records is None else records
+        self.source_archive = source_archive
+        self.class_count = class_count
+        self.stats = stats
 
 
 def _delimiter(path: Path, format: str | None) -> str:

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import os
-from dataclasses import asdict, dataclass, field
 
 from ._lazy import np
 from .centrality import CentralityVector, betweenness, pagerank, top_k
@@ -33,14 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass
 class AnalysisResult:
-    sections: dict
-    histograms: dict[str, DegreeHistogram] = field(default_factory=dict)
-    community_sizes: list[int] | None = None
+    def __init__(self, sections: dict, histograms: dict[str, DegreeHistogram] | None = None,
+                 community_sizes: list[int] | None = None):
+        self.sections = sections
+        self.histograms = {} if histograms is None else histograms
+        self.community_sizes = community_sizes
 
 
 def sha256_file(path) -> str:
+    import hashlib  # here: only analyze hashes, and _hashlib is slow to load
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -53,18 +54,15 @@ def _rank_rows(pairs: list[tuple[str, float]]) -> list[dict]:
             for i, (label, score) in enumerate(pairs, start=1)]
 
 
-@dataclass
 class _Run:
     """The options of one analysis and the results its stages share."""
-    g: DirectedGraph
-    seed: int
-    replicates: int
-    top: int
-    sample_sources: int | None
-    clustering: float
-    result: AnalysisResult
-    paths: dict = field(default_factory=dict)
-    incomplete: bool = False
+
+    def __init__(self, g: DirectedGraph, seed: int, replicates: int, top: int,
+                 sample_sources: int | None, clustering: float, result: AnalysisResult):
+        self.g, self.seed, self.replicates, self.top = g, seed, replicates, top
+        self.sample_sources, self.clustering, self.result = sample_sources, clustering, result
+        self.paths: dict = {}
+        self.incomplete = False
 
     def guarded(self, fn, *args):
         """``fn(*args)``, or an error section that marks the report incomplete."""
@@ -83,7 +81,7 @@ def _paths(run: _Run) -> dict:
     run.paths = {mode: shortest_path_stats(run.g, mode=mode, seed=run.seed,
                                            sample_sources=run.sample_sources)
                  for mode in ("directed", "undirected")}
-    return {mode: asdict(stats) for mode, stats in run.paths.items()}
+    return {mode: stats._asdict() for mode, stats in run.paths.items()}
 
 
 def _betweenness(run: _Run) -> list:
@@ -100,14 +98,14 @@ def _communities(run: _Run) -> dict:
 
 def _smallworld(run: _Run) -> dict:
     # Without the paths stage, real_paths is None and is computed there.
-    return run.guarded(lambda: asdict(small_world_test(
+    return run.guarded(lambda: small_world_test(
         run.g, replicates=run.replicates, seed=run.seed,
         sample_sources=run.sample_sources, c_real=run.clustering,
-        real_paths=run.paths.get("undirected"))))
+        real_paths=run.paths.get("undirected"))._asdict())
 
 
 def _powerlaw(run: _Run) -> dict:
-    return {which: run.guarded(lambda h: asdict(fit_power_law(h)), hist)
+    return {which: run.guarded(lambda h: fit_power_law(h)._asdict(), hist)
             for which, hist in run.result.histograms.items()}
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._lazy import np
 from .errors import DegenerateGraph, DegenerateHistogram
@@ -82,8 +82,7 @@ def ring_lattice(n: int, k: int) -> DirectedGraph:
     return g
 
 
-@dataclass(frozen=True)
-class SmallWorldReport:
+class SmallWorldReport(NamedTuple):
     p: float
     c_real: float
     c_random_mean: float
@@ -165,10 +164,9 @@ def small_world_test(
     )
 
 
-@dataclass(frozen=True)
-class DegreeHistogram:
-    degrees: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
+class DegreeHistogram(NamedTuple):
+    degrees: np.ndarray
+    counts: np.ndarray
     which: str = "total"
 
 
@@ -188,8 +186,7 @@ def degree_histogram(g: DirectedGraph, which: str = "total") -> DegreeHistogram:
                            counts=counts[degrees].astype(np.int64), which=which)
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     alpha: float
     x_min: int
     goodness: float

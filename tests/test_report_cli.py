@@ -435,6 +435,15 @@ def test_cli_import_leaves_out_network_and_thread_pool_modules():
 
 
 @pytest.mark.usefixtures("src_on_pythonpath")
+def test_cli_import_leaves_out_dataclasses_and_hashlib():
+    probe = ("import sys, jarnet.cli; print(sorted(m for m in ('dataclasses', 'inspect', "
+             "'hashlib') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.usefixtures("src_on_pythonpath")
 def test_default_analyze_leaves_out_numpy_ma(medium_jar, tmp_path, capsys):
     gexf = _extract_and_build(medium_jar, tmp_path, capsys, prefix="app")
     probe = ("import sys; from jarnet.cli import main; "
