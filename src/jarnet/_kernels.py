@@ -35,11 +35,15 @@ never approximated.
     mark from an earlier level or batch survives;
   * path counts (sigma) of those vertices come from a ``bincount``, which
     adds in input order, over the candidates in that same order;
-  * dependencies (delta) go level by level from the deepest, each level's
-    frontier in *descending* queue position and then predecessor order,
-    through ``np.add.at``, which applies its updates one by one in index
-    order. Any other order (the frontier not reversed, or a pairwise
-    reduction) changes the last bits;
+  * dependencies (delta) go level by level from the deepest, over the
+    shortest-path edges (parent, child) the forward pass kept for that
+    level, sorted by *descending* queue position of the child. One
+    ``np.add.at`` per level applies the updates one by one in index
+    order, so each parent receives its additions in the scalar loop's
+    order. Keys tie only for the same child, whose parents are different
+    accumulators, so the order of ties changes no bit. Any other order
+    (a level unsorted or ascending, or a pairwise reduction) changes the
+    last bits;
   * each source's own delta is zeroed, and the batch's delta rows are
     added to the scores in source order.
 - ``triangle_doubles``: degree-ordered wedge enumeration; integers.
@@ -168,14 +172,14 @@ def bfs_stats(indptr, indices, sources, leaves=None):
 BATCH_ENTRIES = 1 << 16
 
 
-def brandes(indptr, indices, rindptr, rindices):
+def brandes(indptr, indices):
     """Raw betweenness: BFS path counts + reverse dependency accumulation.
 
-    ``indptr``/``indices`` hold successors and ``rindptr``/``rindices``
-    predecessors. Predecessors on shortest paths are recovered by the
-    level test dist[v] == dist[w] - 1, so no per-vertex lists are stored.
-    Endpoints are excluded. See the module docstring for the order
-    contract that makes the result independent of the batch size.
+    ``indptr``/``indices`` hold successors. The forward pass keeps each
+    level's shortest-path edges (parent, child), and the backward pass
+    walks those same edges, so no predecessor rows or distances are
+    needed. Endpoints are excluded. See the module docstring for the
+    order contract that makes the result independent of the batch size.
     """
     n = indptr.shape[0] - 1
     bc = np.zeros(n, np.float64)
@@ -188,18 +192,18 @@ def brandes(indptr, indices, rindptr, rindices):
         sources = active[lo:lo + per]
         b = sources.shape[0]
         roots = np.arange(b, dtype=np.int64) * n + sources
-        dist = np.full(b * n, -1, np.int32)
+        seen = np.zeros(b * n, bool)
         sigma = np.zeros(b * n, np.float64)
         delta = np.zeros(b * n, np.float64)
-        dist[roots] = 0
+        seen[roots] = True
         sigma[roots] = 1.0
-        levels = [roots]
+        frontier = roots
+        edges = []
         while True:
-            frontier = levels[-1]
             u = frontier % n
             pos, counts = _neighbours(indptr, u)
             cand = np.repeat(frontier - u, counts) + indices[pos]
-            fresh = dist[cand] < 0
+            fresh = ~seen[cand]
             if not fresh.any():
                 break
             cand = cand[fresh]
@@ -210,17 +214,12 @@ def brandes(indptr, indices, rindptr, rindices):
             reached = cand[mark[cand] == k]
             slot[reached] = np.arange(reached.shape[0])
             sigma[reached] = np.bincount(slot[cand], weights=sigma[parent])
-            dist[reached] = len(levels)
-            levels.append(reached)
-        for depth in range(len(levels) - 1, 0, -1):
-            w = levels[depth][::-1]
-            coeff = (1.0 + delta[w]) / sigma[w]
-            wv = w % n
-            pos, counts = _neighbours(rindptr, wv)
-            v = np.repeat(w - wv, counts) + rindices[pos]
-            on_path = dist[v] == depth - 1
-            v = v[on_path]
-            np.add.at(delta, v, sigma[v] * np.repeat(coeff, counts)[on_path])
+            seen[reached] = True
+            order = np.argsort(-slot[cand], kind="stable")
+            edges.append((parent[order], cand[order]))
+            frontier = reached
+        for v, w in reversed(edges):
+            np.add.at(delta, v, sigma[v] * ((1.0 + delta[w]) / sigma[w]))
         delta[roots] = 0.0
         for row in delta.reshape(b, n):
             bc += row

@@ -26,8 +26,7 @@ def betweenness(g: DirectedGraph | UndirectedGraph) -> CentralityVector:
     if g.n == 0:
         raise EmptyGraph("betweenness needs at least one vertex")
     indptr, indices = g.to_csr()
-    rindptr, rindices = g.to_csr(reverse=True)
-    scores = _kernels.brandes(indptr, indices, rindptr, rindices)
+    scores = _kernels.brandes(indptr, indices)
     if isinstance(g, UndirectedGraph):
         # The kernel walks each unordered pair both ways; halving is exact.
         scores *= 0.5

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="keep method descriptors to separate overloads")
     p_extract.add_argument("--tolerant", action="store_true",
                            help="skip undecodable class entries instead of failing")
-    p_extract.add_argument("--threads", type=int, default=None,
+    p_extract.add_argument("--threads", type=_int_at_least(1), default=None,
                            help="accepted for compatibility; no effect, "
                                 "class files are parsed in one thread")
     p_extract.set_defaults(func=_cmd_extract)
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="random baseline replicates")
     p_analyze.add_argument("--top", type=_int_at_least(1), default=10,
                            help="length of the ranking lists")
-    p_analyze.add_argument("--threads", type=int, default=None,
+    p_analyze.add_argument("--threads", type=_int_at_least(1), default=None,
                            help="accepted for compatibility; no effect, "
                                 "every analysis kernel is single-threaded numpy")
     paths = p_analyze.add_mutually_exclusive_group()

@@ -97,8 +97,8 @@ class DirectedGraph:
 
         With ``reverse`` the rows hold predecessors instead of successors.
         """
-        indptr, indices, rindptr, rindices = self._arrays()
-        return (rindptr, rindices) if reverse else (indptr, indices)
+        arrays = self._arrays()
+        return arrays[2:] if reverse else arrays[:2]
 
     def undirected(self) -> UndirectedGraph:
         """The cached undirected projection."""

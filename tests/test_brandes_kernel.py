@@ -35,7 +35,38 @@ def lattice_digraph(seed: int) -> DirectedGraph:
     return g
 
 
-GRAPHS = [messy_digraph(s) for s in range(3)] + [lattice_digraph(s) for s in range(4)]
+def deep_digraph(length: int = 300) -> DirectedGraph:
+    """A long path with chords, side branches that rejoin it as long as the
+    path stretch they bypass (so vertices have several shortest paths), dead
+    end branches and a few back edges: BFS runs for many levels. Vertex ids
+    are shuffled against path order."""
+    rng = np.random.default_rng(77)
+    g = DirectedGraph()
+    names = [f"d{i:03d}" for i in range(length)]
+    for i in rng.permutation(length).tolist():
+        g.add_vertex(names[i])
+    for a, b in zip(names, names[1:]):
+        g.add_edge_labels(a, b)
+    for i in range(0, length - 8, 3):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:  # chord: skips ahead
+            g.add_edge_labels(names[i], names[i + int(rng.integers(2, 5))])
+        elif kind == 1:  # branch as long as the path stretch it bypasses
+            hops = int(rng.integers(1, 4))
+            branch = [names[i]] + [f"b{i:03d}x{j}" for j in range(hops)]
+            for a, b in zip(branch, branch[1:] + [names[i + hops + 1]]):
+                g.add_edge_labels(a, b)
+        elif kind == 2:  # dead end
+            g.add_edge_labels(names[i], f"e{i:03d}")
+            g.add_edge_labels(f"e{i:03d}", f"e{i:03d}y")
+    for _ in range(4):
+        hi = int(rng.integers(length // 2, length))
+        g.add_edge_labels(names[hi], names[int(rng.integers(0, hi // 2))])
+    return g
+
+
+GRAPHS = ([messy_digraph(s) for s in range(3)] + [deep_digraph()]
+          + [lattice_digraph(s) for s in range(4)])
 
 
 def directed_csr(g):
@@ -68,7 +99,7 @@ def test_lattice_has_many_unequal_shortest_path_successors():
 @pytest.mark.parametrize("index", range(len(GRAPHS)))
 def test_kernel_bits_match_scalar_oracle(index, csr):
     arrays = csr(GRAPHS[index])
-    assert_bits_equal(_kernels.brandes(*arrays), brandes_oracle.brandes(*arrays))
+    assert_bits_equal(_kernels.brandes(*arrays[:2]), brandes_oracle.brandes(*arrays))
 
 
 @pytest.mark.parametrize("per_batch", ["one", "seven", "all"])
@@ -80,7 +111,7 @@ def test_batch_size_never_changes_bits(monkeypatch, csr, per_batch):
         b = {"one": 1, "seven": 7, "all": n}[per_batch]
         monkeypatch.setattr(_kernels, "BATCH_ENTRIES", b * n)
         arrays = csr(g)
-        assert_bits_equal(_kernels.brandes(*arrays), brandes_oracle.brandes(*arrays))
+        assert_bits_equal(_kernels.brandes(*arrays[:2]), brandes_oracle.brandes(*arrays))
 
 
 def test_single_vertex_and_edgeless_graphs():
@@ -94,7 +125,7 @@ def test_single_vertex_and_edgeless_graphs():
     for g in (one, looped, edgeless):
         for csr in (directed_csr, projected_csr):
             arrays = csr(g)
-            scores = _kernels.brandes(*arrays)
+            scores = _kernels.brandes(*arrays[:2])
             assert_bits_equal(scores, brandes_oracle.brandes(*arrays))
             assert scores.shape == (g.n,) and not scores.any()
 
@@ -108,7 +139,7 @@ def test_scores_match_networkx(index):
     # Undirected: the kernel on the projection, halved so each unordered
     # pair counts once.
     for scores, graph in ((betweenness(g).scores, directed),
-                          (_kernels.brandes(*projected_csr(g)) / 2.0,
+                          (_kernels.brandes(*projected_csr(g)[:2]) / 2.0,
                            directed.to_undirected())):
         ref = nx.betweenness_centrality(graph, normalized=False)
         expected = np.array([ref[v] for v in range(g.n)])

@@ -99,6 +99,20 @@ def test_projection_betweenness_matches_networkx(g):
     assert np.allclose(got, [want[v] for v in range(g.n)], atol=1e-9)
 
 
+def test_betweenness_reads_only_the_successor_csr(monkeypatch):
+    g = random_digraph(40, 0.1, random.Random(23))
+    want = betweenness(g).scores
+    to_csr = DirectedGraph.to_csr
+
+    def successors_only(self, reverse=False):
+        if reverse:
+            raise AssertionError("betweenness read the predecessor CSR")
+        return to_csr(self)
+
+    monkeypatch.setattr(DirectedGraph, "to_csr", successors_only)
+    assert np.array_equal(betweenness(g).scores, want)
+
+
 def test_betweenness_deterministic():
     rng = random.Random(15)
     g = random_digraph(40, 0.1, rng)

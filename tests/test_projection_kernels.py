@@ -86,4 +86,4 @@ def test_kernels_accept_a_graph_without_vertices():
     assert _kernels.triangle_doubles(*csr).tolist() == []
     assert _kernels.component_labels(*csr).tolist() == []
     assert _kernels.bfs_stats(*csr, np.zeros(0, np.int64)) == (0, 0, 0)
-    assert _kernels.brandes(*csr, *csr).tolist() == []
+    assert _kernels.brandes(*csr).tolist() == []

@@ -79,6 +79,8 @@ def test_extract_entry_over_size_cap_exits_2(tmp_path, capsys, monkeypatch):
 def test_usage_errors_exit_1(capsys):
     assert run([], capsys)[0] == 1
     assert run(["extract"], capsys)[0] == 1
+    # exit 1, not the missing archive's 2: the count is checked first
+    assert run(["extract", "x.jar", "-o", "t.csv", "--threads", "0"], capsys)[0] == 1
     assert run(["frobnicate", "x"], capsys)[0] == 1
     assert run(["report", "x.json", "--format", "bogus"], capsys)[0] == 1
 
@@ -201,7 +203,7 @@ def test_analyze_triangle_known_values(tmp_path, capsys):
     assert report["incomplete"] is True
 
 
-@pytest.mark.parametrize("flag", ["--sampled-paths", "--top", "--replicates"])
+@pytest.mark.parametrize("flag", ["--sampled-paths", "--top", "--replicates", "--threads"])
 @pytest.mark.parametrize("value", ["-1", "0", "two"])
 def test_analyze_rejects_counts_below_one(tmp_path, capsys, flag, value):
     gexf = _triangle_gexf(tmp_path)
