@@ -18,23 +18,29 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 class DirectedGraph:
-    """Edges are stored once, as ``src << 32 | dst`` keys. The sorted out-
-    and in-CSR and the undirected projection are built on first use and
-    cached until the next vertex or edge is added. Callers share the
-    cached arrays and must not write to them."""
+    """Edges are stored once: as ``src << 32 | dst`` keys beside a label index
+    while the graph grows, then as the sorted out- and in-CSR. A CSR read drops
+    both indices and an addition rebuilds them; growing the graph drops the
+    cached CSR and projection, which callers share and must not write to."""
 
     __slots__ = ("labels", "kinds", "_ids", "_keys", "_csr", "_proj")
 
     def __init__(self):
         self.labels: list[str] = []
         self.kinds: list[str] = []
-        self._ids: dict[str, int] = {}
-        self._keys: set[int] = set()
+        self._ids: dict[str, int] | None = {}
+        self._keys: set[int] | None = set()
         self._csr: tuple[np.ndarray, ...] | None = None
         self._proj: UndirectedGraph | None = None
 
     # -- construction --------------------------------------------------------
+    def _thaw(self) -> None:
+        if self._keys is None:
+            self._keys = {src << 32 | dst for src, dst in self.edges()}
+            self._ids = {label: vid for vid, label in enumerate(self.labels)}
+
     def add_vertex(self, label: str) -> int:
+        self._thaw()
         vid = self._ids.get(label)
         if vid is None:
             vid = len(self.labels)
@@ -48,6 +54,7 @@ class DirectedGraph:
         n = len(self.labels)
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"edge ({src}, {dst}) names a missing vertex")
+        self._thaw()
         key = src << 32 | dst
         if key in self._keys:
             return False
@@ -65,7 +72,7 @@ class DirectedGraph:
 
     @property
     def m(self) -> int:
-        return len(self._keys)
+        return len(self._keys) if self._csr is None else len(self._csr[1])
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
         """(out indptr, out indices, in indptr, in indices), rows sorted."""
@@ -78,13 +85,18 @@ class DirectedGraph:
             by_dst = np.argsort(dst, kind="stable")
             self._csr = (_indptr(src, self.n), dst,
                          _indptr(dst[by_dst], self.n), src[by_dst])
+        self._keys = self._ids = None
         return self._csr
 
     def edges(self):
         """Iterate (src, dst) pairs sorted by source then target.
 
-        Sorts the keys in Python, so export needs neither the CSR nor numpy."""
-        return ((key >> 32, key & 0xFFFFFFFF) for key in sorted(self._keys))
+        Until the CSR is built this sorts the keys in Python, so export
+        needs neither the CSR nor numpy; once it is built, it reads the CSR."""
+        if self._csr is None:
+            return ((key >> 32, key & 0xFFFFFFFF) for key in sorted(self._keys))
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees())
+        return zip(src.tolist(), self._csr[1].tolist())
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._arrays()[0])

@@ -2,6 +2,8 @@
 and the caching of their sorted forms."""
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,18 +19,41 @@ from test_projection_kernels import complete, edgeless
 
 def twins(build, *args):
     """``build(*args)``, and an oracle digraph that was sent the same
-    ``add_vertex`` and ``add_edge`` calls, with the same results."""
+    ``add_vertex`` and ``add_edge`` calls, with the same results.
+
+    After about one addition in eight, chosen by a seeded draw, the graph is
+    read through ``to_csr``, ``undirected``, ``m`` or ``edges`` and checked
+    against the oracle, so the builds freeze into the CSR and grow again."""
     oracle = graph_oracle.DirectedGraph()
+    rng = random.Random(f"{build.__name__}{args}")
+
+    def read(g):
+        if rng.random() >= 1 / 8:
+            return
+        form = rng.choice(["to_csr", "undirected", "m", "edges"])
+        if form == "to_csr":
+            reverse = rng.random() < 0.5
+            assert_csr_equal(g.to_csr(reverse=reverse), oracle.to_csr(reverse=reverse))
+            assert g._keys is None and g._ids is None
+        elif form == "undirected":
+            want = graph_oracle.undirected_projection(oracle)
+            assert_csr_equal(g.undirected().to_csr(), want.to_csr())
+        elif form == "m":
+            assert g.m == oracle.m
+        else:
+            assert list(g.edges()) == list(oracle.edges())
 
     class Twin(DirectedGraph):
         def add_vertex(self, label):
             vid = super().add_vertex(label)
             assert oracle.add_vertex(label) == vid
+            read(self)
             return vid
 
         def add_edge(self, src, dst):
             added = super().add_edge(src, dst)
             assert oracle.add_edge(src, dst) == added
+            read(self)
             return added
 
     with pytest.MonkeyPatch.context() as patch:
@@ -128,6 +153,19 @@ def test_growing_the_graph_drops_the_cached_forms(read):
     assert g.add_edge(d, 0)
     assert g.in_degrees().tolist() == [2, 1, 1, 0]
     assert g.undirected().degrees().tolist() == [3, 2, 2, 1]
+
+
+def test_a_csr_read_leaves_the_csr_the_only_edge_store():
+    g = path_graph()
+    assert g._keys == {0 << 32 | 1, 1 << 32 | 2} and len(g._ids) == 3
+    g.to_csr()
+    assert g._keys is None and g._ids is None
+    assert g.m == 2 and list(g.edges()) == [(0, 1), (1, 2)]
+    assert g.add_vertex("c") == 2 and not g.add_edge(1, 2)
+    assert g.add_edge_labels("c", "d")
+    assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+    g.undirected()
+    assert g._keys is None and g._ids is None
 
 
 def test_duplicate_edge_changes_nothing():

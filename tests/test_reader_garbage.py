@@ -39,3 +39,15 @@ def test_reader_leaves_no_cyclic_garbage(reader, inputs):
     finally:
         gc.enable()
     assert result is not None
+
+
+def test_first_csr_read_leaves_no_cyclic_garbage(inputs):
+    """The first CSR read drops the graph's construction indices; they must
+    go at once, not wait for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        import_gexf(inputs[import_gexf]).to_csr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
