@@ -16,6 +16,8 @@ from .errors import (
     UnsupportedVersion,
 )
 
+__all__ = ["MethodInfo", "ClassUnit", "parse_class"]
+
 MAGIC = 0xCAFEBABE
 MIN_MAJOR = 45  # first released format version
 

@@ -19,6 +19,8 @@ from .errors import (
 )
 from .names import CallRecord, ExtractStats, QualifiedName, RelationTable, UnitKind
 
+__all__ = ["classify_callee", "extract_calls", "open_archive", "extract_archive"]
+
 OP_GETSTATIC = 0xB2
 OP_PUTSTATIC = 0xB3
 OP_GETFIELD = 0xB4

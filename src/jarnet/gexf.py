@@ -13,6 +13,8 @@ from xml.parsers import expat
 from .errors import GexfSchemaError
 from .graph import DirectedGraph
 
+__all__ = ["export_gexf", "import_gexf"]
+
 _NS = "http://www.gexf.net/1.2draft"
 
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",

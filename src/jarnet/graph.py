@@ -9,6 +9,8 @@ from __future__ import annotations
 from ._lazy import np
 from .names import METHOD_SEP, QualifiedName, RelationTable, UnitKind
 
+__all__ = ["DirectedGraph", "UndirectedGraph", "undirected_projection", "build_graph"]
+
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """Row offsets of a CSR whose entries, sorted by row, have these rows."""

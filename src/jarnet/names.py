@@ -14,6 +14,9 @@ from typing import NamedTuple
 
 from .errors import MalformedRecord
 
+__all__ = ["UnitKind", "QualifiedName", "CallRecord", "ExtractStats", "RelationTable",
+           "write_relation_table", "read_relation_table"]
+
 _HEADER = ["caller_kind", "caller", "callee_kind", "callee"]
 METHOD_SEP = "::"
 

@@ -11,6 +11,9 @@ import jarnet
 
 MODULES = ["jarnet"] + [f"jarnet.{info.name}" for info in pkgutil.iter_modules(jarnet.__path__)
                         if info.name != "__main__"]
+# The library modules whose public names ``jarnet`` re-exports.
+LIBRARY = ["names", "classfile", "extractor", "graph", "gexf", "metrics", "centrality",
+           "community", "topology"]
 
 
 @pytest.mark.parametrize("name", [name for name in MODULES
@@ -18,3 +21,36 @@ MODULES = ["jarnet"] + [f"jarnet.{info.name}" for info in pkgutil.iter_modules(j
 def test_public_exports_resolve(name):
     module = importlib.import_module(name)
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _exports(module: str) -> list[str]:
+    return importlib.import_module(f"jarnet.{module}").__all__
+
+
+def test_package_exports_are_the_library_modules_exports():
+    assert jarnet.__all__[-1] == "__version__"
+    assert set(jarnet.__all__) - {"__version__"} == {
+        name for module in LIBRARY for name in _exports(module)}
+
+
+def test_no_name_is_exported_by_two_modules():
+    # A second star import of the same name would silently shadow the first.
+    names = [name for module in LIBRARY for name in _exports(module)]
+    assert sorted(names) == sorted(set(names))
+
+
+def test_no_export_rebinds_a_submodule():
+    submodules = {info.name for info in pkgutil.iter_modules(jarnet.__path__)}
+    assert submodules & set(jarnet.__all__) == set()
+
+
+def test_report_is_not_re_exported():
+    report = _exports("report")
+    assert set(report) & set(jarnet.__all__) == set()
+    assert [name for name in report if hasattr(jarnet, name)] == []
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from jarnet import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(jarnet.__all__)
