@@ -158,7 +158,7 @@ def open_archive(path, tolerant: bool = False, on_skip=None):
         raise ArchiveNotFound(str(path))
     try:
         archive = zipfile.ZipFile(path)
-    except (zipfile.BadZipFile, OSError) as exc:
+    except Exception as exc:  # bad directories, unreadable files, unsupported versions
         raise ArchiveCorrupt(f"{path}: {exc}") from exc
     with archive:
         for info in archive.infolist():

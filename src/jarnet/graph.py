@@ -21,9 +21,9 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
 
 class DirectedGraph:
     """Edges are stored once: as ``src << 32 | dst`` keys beside a label index
-    while the graph grows, then as the sorted out- and in-CSR. A CSR read drops
-    both indices and an addition rebuilds them; growing the graph drops the
-    cached CSR and projection, which callers share and must not write to."""
+    while the graph grows, then as the sorted out- and in-CSR. The first CSR
+    read drops both indices and freezes the graph: an addition then raises
+    ``ValueError``. Callers share the CSR and projection and must not write to them."""
 
     __slots__ = ("labels", "kinds", "_ids", "_keys", "_csr", "_proj")
 
@@ -36,32 +36,27 @@ class DirectedGraph:
         self._proj: UndirectedGraph | None = None
 
     # -- construction --------------------------------------------------------
-    def _thaw(self) -> None:
-        if self._keys is None:
-            self._keys = {src << 32 | dst for src, dst in self.edges()}
-            self._ids = {label: vid for vid, label in enumerate(self.labels)}
-
     def add_vertex(self, label: str) -> int:
-        self._thaw()
+        if self._ids is None:
+            raise ValueError(f"cannot add vertex {label!r}: the graph is frozen")
         vid = self._ids.get(label)
         if vid is None:
             vid = len(self.labels)
             self._ids[label] = vid
             self.labels.append(label)
             self.kinds.append("method" if METHOD_SEP in label else "class")
-            self._csr = self._proj = None
         return vid
 
     def add_edge(self, src: int, dst: int) -> bool:
+        if self._keys is None:
+            raise ValueError(f"cannot add edge ({src}, {dst}): the graph is frozen")
         n = len(self.labels)
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"edge ({src}, {dst}) names a missing vertex")
-        self._thaw()
         key = src << 32 | dst
         if key in self._keys:
             return False
         self._keys.add(key)
-        self._csr = self._proj = None
         return True
 
     def add_edge_labels(self, src_label: str, dst_label: str) -> bool:

@@ -7,7 +7,7 @@ import pytest
 
 import bfs_oracle
 from jarnet import _kernels
-from jarnet.graph import DirectedGraph, undirected_projection
+from jarnet.graph import DirectedGraph, UndirectedGraph, undirected_projection
 from jarnet.metrics import (
     _fold_leaves,
     _pick_sources,
@@ -41,9 +41,13 @@ def messy_digraph(seed: int, n: int = 90) -> DirectedGraph:
             g.add_edge(r, v)
     for v in rng.choice(order[10:], size=6, replace=False).tolist():
         g.add_edge(v, v)
-    assert all(g.out_degrees()[i] == 0 == g.in_degrees()[i] for i in isolated)
-    assert all(g.in_degrees()[r] == 0 < g.out_degrees()[r] for r in roots)
-    assert components(g).count >= 3 + isolated.size
+    # Checked from edges(), which leaves the graph growing: a CSR read would
+    # freeze it, and lattice_digraph adds to it.
+    src, dst = np.array(list(g.edges())).T
+    out_deg, in_deg = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
+    assert all(out_deg[i] == 0 == in_deg[i] for i in isolated)
+    assert all(in_deg[r] == 0 < out_deg[r] for r in roots)
+    assert components(UndirectedGraph(g.labels, src, dst)).count >= 3 + isolated.size
     return g
 
 
