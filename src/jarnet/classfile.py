@@ -1,7 +1,10 @@
-"""Binary class-file parsing: header, constant pool, methods, bytecode walk.
+"""Binary class-file parsing: header, constant pool, methods, and the
+instruction-length tables of the bytecode walk.
 
 Everything is big-endian. Only the pieces needed for call extraction are
-materialized; attribute bodies other than Code are skipped.
+materialized; attribute bodies other than Code are skipped. The walk over
+a Code stream itself lives in ``extractor.extract_calls``, which reads
+``_LENGTHS`` and ``_switch_length`` from here.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from .errors import (
     BadMagic,
     MalformedConstantPool,
     TruncatedClassFile,
-    UnknownOpcode,
     UnsupportedVersion,
 )
 
@@ -41,23 +43,13 @@ TAG_INVOKEDYNAMIC = 18
 TAG_MODULE = 19
 TAG_PACKAGE = 20
 
-# operand byte counts per opcode; switches and wide are handled separately
-_OPERANDS: dict[int, int] = {}
-_OPERANDS.update({op: 0 for op in range(0x00, 0x10)})
-_OPERANDS.update({0x10: 1, 0x11: 2, 0x12: 1, 0x13: 2, 0x14: 2})
-_OPERANDS.update({op: 1 for op in range(0x15, 0x1A)})
-_OPERANDS.update({op: 0 for op in range(0x1A, 0x36)})
-_OPERANDS.update({op: 1 for op in range(0x36, 0x3B)})
-_OPERANDS.update({op: 0 for op in range(0x3B, 0x84)})
-_OPERANDS[0x84] = 2
-_OPERANDS.update({op: 0 for op in range(0x85, 0x99)})
-_OPERANDS.update({op: 2 for op in range(0x99, 0xA9)})
-_OPERANDS[0xA9] = 1
-_OPERANDS.update({op: 0 for op in range(0xAC, 0xB2)})
-_OPERANDS.update({op: 2 for op in range(0xB2, 0xB9)})
-_OPERANDS.update({0xB9: 4, 0xBA: 4, 0xBB: 2, 0xBC: 1, 0xBD: 2, 0xBE: 0,
-                  0xBF: 0, 0xC0: 2, 0xC1: 2, 0xC2: 0, 0xC3: 0, 0xC5: 3,
-                  0xC6: 2, 0xC7: 2, 0xC8: 4, 0xC9: 4})
+# Operand byte counts of the opcodes that have operands. Every other opcode
+# up to 0xC9 has none; switches and wide are handled separately.
+_OPERANDS = {0x10: 1, 0x11: 2, 0x12: 1, 0x13: 2, 0x14: 2, 0x84: 2, 0xA9: 1, 0xB9: 4,
+             0xBA: 4, 0xBB: 2, 0xBC: 1, 0xBD: 2, 0xC0: 2, 0xC1: 2, 0xC5: 3, 0xC6: 2,
+             0xC7: 2, 0xC8: 4, 0xC9: 4, **dict.fromkeys(range(0x15, 0x1A), 1),
+             **dict.fromkeys(range(0x36, 0x3B), 1), **dict.fromkeys(range(0x99, 0xA9), 2),
+             **dict.fromkeys(range(0xB2, 0xB9), 2)}
 
 OP_TABLESWITCH = 0xAA
 OP_LOOKUPSWITCH = 0xAB
@@ -66,23 +58,21 @@ OP_IINC = 0x84
 
 # Instruction length by opcode, operands included: 0 for a byte that is no
 # opcode, -1 for the switches and wide, whose length depends on the stream.
-_LENGTHS = [1 + _OPERANDS[op] if op in _OPERANDS else 0 for op in range(256)]
+_LENGTHS = [1 + _OPERANDS.get(op, 0) if op <= 0xC9 else 0 for op in range(256)]
 _LENGTHS[OP_TABLESWITCH] = _LENGTHS[OP_LOOKUPSWITCH] = _LENGTHS[OP_WIDE] = -1
 
 
 def _decode_mutf8(raw: bytes) -> str:
     # JVM modified UTF-8: embedded NUL is C0 80, supplementary chars use
-    # CESU-8 surrogate pairs; both are rare, so try plain UTF-8 first. A
-    # UTF-16 round trip joins each pair into the character it encodes and
-    # maps an unpaired surrogate to U+FFFD, as for other invalid bytes.
+    # CESU-8 surrogate pairs; both are rare, so _read_pool tries plain UTF-8
+    # first and calls this only when that fails. A UTF-16 round trip joins
+    # each pair into the character it encodes and maps an unpaired surrogate
+    # to U+FFFD, as for other invalid bytes.
     try:
-        return raw.decode("utf-8")
+        text = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
     except UnicodeDecodeError:
-        try:
-            text = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
-        except UnicodeDecodeError:
-            return raw.decode("utf-8", "replace")
-        return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "replace")
+        return raw.decode("utf-8", "replace")
+    return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "replace")
 
 
 def _bad_index(tags: dict[int, int], index: int, what: str) -> MalformedConstantPool:
@@ -101,8 +91,8 @@ class ConstantPool(NamedTuple):
     text, ``classes`` to an internal class name, ``nats`` to ``(name,
     descriptor)``, ``field_refs`` to ``(class, name, descriptor)`` and
     ``method_refs`` (Methodref and InterfaceMethodref) to ``(class, name,
-    descriptor, is_interface)``. ``utf8`` and ``class_name`` raise
-    MalformedConstantPool for an index that does not hold the kind asked for.
+    descriptor, is_interface)``. ``class_name`` raises MalformedConstantPool
+    for an index that does not hold a Class entry.
     """
 
     tags: dict[int, int]
@@ -112,17 +102,11 @@ class ConstantPool(NamedTuple):
     field_refs: dict[int, tuple[str, str, str]]
     method_refs: dict[int, tuple[str, str, str, bool]]
 
-    def _lookup(self, table: dict, index: int, what: str):
-        value = table.get(index)
-        if value is None:
-            raise _bad_index(self.tags, index, what)
-        return value
-
-    def utf8(self, index: int) -> str:
-        return self._lookup(self.utf8s, index, "Utf8")
-
     def class_name(self, index: int) -> str:
-        return self._lookup(self.classes, index, "Class")
+        name = self.classes.get(index)
+        if name is None:
+            raise _bad_index(self.tags, index, "Class")
+        return name
 
 
 class MethodInfo(NamedTuple):
@@ -190,7 +174,11 @@ def _read_pool(data: bytes, entry: str) -> tuple[ConstantPool, int]:
             (length,) = _U2(data, pos + 1)
             start = pos + 3
             pos = start + length
-            utf8s[index] = _decode_mutf8(data[start:pos])
+            raw = data[start:pos]
+            try:
+                utf8s[index] = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                utf8s[index] = _decode_mutf8(raw)
         elif tag == TAG_CLASS:
             class_slots.append((index, _U2(data, pos + 1)[0]))
             pos += 3
@@ -276,19 +264,26 @@ def parse_class(data: bytes, entry: str = "<bytes>") -> ClassUnit:
             for _ in range(n_attrs):
                 pos += 6 + _U4(data, pos + 2)[0]
         methods = []
+        utf8s, tags = pool.utf8s, pool.tags
         (n_methods,) = _U2(data, pos)
         pos += 2
         for _ in range(n_methods):
             access, name_index, desc_index, n_attrs = _U2X4(data, pos)
             pos += 8
-            method_name = pool.utf8(name_index)
-            descriptor = pool.utf8(desc_index)
+            method_name = utf8s.get(name_index)
+            descriptor = utf8s.get(desc_index)
+            if method_name is None or descriptor is None:
+                bad = name_index if method_name is None else desc_index
+                raise _bad_index(tags, bad, "Utf8")
             code = None
             for _ in range(n_attrs):
                 attr_index, length = _U2U4(data, pos)
                 pos += 6
                 end = pos + length
-                if pool.utf8(attr_index) == "Code" and code is None:
+                attr_name = utf8s.get(attr_index)
+                if attr_name is None:
+                    raise _bad_index(tags, attr_index, "Utf8")
+                if attr_name == "Code" and code is None:
                     # max_stack, max_locals, code, exception table, attributes
                     start = pos + 8
                     pos = start + _U4(data, pos + 4)[0]
@@ -333,26 +328,3 @@ def _switch_length(code: bytes, pos: int, op: int) -> int:
         raise TruncatedClassFile(f"lookupswitch pair count at {pos}")
     return 1 + pad + 8 + 8 * npairs
 
-
-def instructions(code: bytes):
-    """Yield (offset, opcode, operand bytes) over a Code stream.
-
-    Switch padding and wide prefixes are decoded; an opcode outside the
-    table raises UnknownOpcode, a stream ending mid-instruction raises
-    TruncatedClassFile.
-    """
-    pos = 0
-    size = len(code)
-    lengths = _LENGTHS
-    while pos < size:
-        op = code[pos]
-        length = lengths[op]
-        if length <= 0:
-            if not length:
-                raise UnknownOpcode(f"opcode 0x{op:02x} at offset {pos}")
-            length = _switch_length(code, pos, op)
-        end = pos + length
-        if end > size:
-            raise TruncatedClassFile(f"instruction at {pos} runs past end of code")
-        yield pos, op, code[pos + 1:end]
-        pos = end

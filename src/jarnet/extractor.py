@@ -1,5 +1,9 @@
 """Call extraction: walk archive entries and emit caller/callee records.
 
+``extract_calls`` holds the one bytecode walk: a loop over each Code
+stream that steps by ``classfile._LENGTHS`` (``_switch_length`` for the
+switches and ``wide``) and reads a site's pool index from the code bytes.
+
 Per class, records appear as call rows (methods in declaration order,
 call sites in bytecode order) followed by the class-level usage rows
 (first-encounter order, deduplicated, self-references dropped).
@@ -9,12 +13,13 @@ from __future__ import annotations
 import zipfile
 from pathlib import Path
 
-from .classfile import ClassUnit, instructions, parse_class
+from .classfile import _LENGTHS, ClassUnit, _switch_length, parse_class
 from .errors import (
     ArchiveCorrupt,
     ArchiveNotFound,
     ClassFormatError,
     EntryDecodeError,
+    TruncatedClassFile,
     UnknownOpcode,
 )
 from .names import CallRecord, ExtractStats, QualifiedName, RelationTable, UnitKind
@@ -43,11 +48,11 @@ OP_LDC_W = 0x13
 # the declared size, and a false declared size fails the CRC check.
 MAX_ENTRY_BYTES = 16 << 20
 
-# What extract_calls does at an opcode: resolve a method ref, count an
+# What extract_calls does at each opcode: resolve a method ref, count an
 # unresolvable site, or note the class of a field ref or class constant.
-# Every other opcode is only walked over.
+# Every other opcode (None) is only walked over.
 _INVOKE, _DYNAMIC, _FIELD, _CLASS = range(4)
-_SITES = {
+_SITE_OF = {
     **dict.fromkeys((OP_INVOKEVIRTUAL, OP_INVOKESPECIAL, OP_INVOKESTATIC,
                      OP_INVOKEINTERFACE), _INVOKE),
     OP_INVOKEDYNAMIC: _DYNAMIC,
@@ -55,6 +60,7 @@ _SITES = {
     **dict.fromkeys((OP_NEW, OP_ANEWARRAY, OP_CHECKCAST, OP_INSTANCEOF,
                      OP_MULTIANEWARRAY, OP_LDC, OP_LDC_W), _CLASS),
 }
+_SITES = [_SITE_OF.get(op) for op in range(256)]  # indexed by opcode
 
 
 def classify_callee(opcode: int, method_name: str,
@@ -100,17 +106,31 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
         if element is not None and element != unit.name:
             class_refs.setdefault(element, None)
 
+    lengths, sites = _LENGTHS, _SITES
     for method in unit.methods:
-        if method.code is None:
+        code = method.code
+        if code is None:
             continue
         caller = None  # built at the method's first resolved call
+        pos, size = 0, len(code)
         try:
-            for _, op, operands in instructions(method.code):
-                site = _SITES.get(op)
+            while pos < size:
+                # An instruction counts only once all its bytes are there.
+                op = code[pos]
+                length = lengths[op]
+                if length <= 0:
+                    if not length:
+                        raise UnknownOpcode(f"opcode 0x{op:02x} at offset {pos}")
+                    length = _switch_length(code, pos, op)
+                end = pos + length
+                if end > size:
+                    raise TruncatedClassFile(f"instruction at {pos} runs past end of code")
+                start, pos = pos + 1, end  # start: the first operand byte
+                site = sites[op]
                 if site is None:
                     continue
                 # the pool index: one byte for ldc, the first two otherwise
-                index = int.from_bytes(operands[:2], "big")
+                index = code[start] if op == OP_LDC else code[start] << 8 | code[start + 1]
                 if site == _INVOKE:
                     call_sites += 1
                     ref = method_refs.get(index)

@@ -61,12 +61,12 @@ def export_gexf(g: DirectedGraph, path) -> None:
         fh.write('      <attribute id="0" title="kind" type="string"/>\n')
         fh.write('    </attributes>\n')
         fh.write('    <nodes>\n')
-        for vid, label in enumerate(g.labels):
-            fh.write(f'      <node id="{vid}" label={_quoteattr(label)}>\n')
-            fh.write('        <attvalues>\n')
-            fh.write(f'          <attvalue for="0" value={_quoteattr(g.kinds[vid])}/>\n')
-            fh.write('        </attvalues>\n')
-            fh.write('      </node>\n')
+        for vid, (label, kind) in enumerate(zip(g.labels, g.kinds)):
+            fh.write(f'      <node id="{vid}" label={_quoteattr(label)}>\n'
+                     '        <attvalues>\n'
+                     f'          <attvalue for="0" value={_quoteattr(kind)}/>\n'
+                     '        </attvalues>\n'
+                     '      </node>\n')
         fh.write('    </nodes>\n')
         fh.write('    <edges>\n')
         for eid, (src, dst) in enumerate(g.edges()):
@@ -102,28 +102,28 @@ def import_gexf(path) -> DirectedGraph:
     ids = {}      # node id -> vertex
     kinds = {}    # kind value -> the one string object kept for it
     kind_attr_id = None
-    default_directed = False  # set when the counted <graph> starts
+    default_type = "undirected"  # set when the counted <graph> starts
     values = []   # (vertex, for, value) of each attvalue
-    pending = []  # (source, target, type) of each edge naming a node not yet seen
+    pending = []  # (source, target, both ways) of each edge naming a node not yet seen
     fault = []    # the first bad node's message; nothing counts after it
-
-    def add_edge(src_id, dst_id, edge_type):
-        src, dst = ids[src_id], ids[dst_id]
-        g.add_edge(src, dst)
-        if not (default_directed if edge_type is None else edge_type == "directed"):
-            g.add_edge(dst, src)
+    local_names = {}  # expat name -> its local name
+    add_edge = g.add_edge
 
     def start(name, attrs):
-        nonlocal kind_attr_id, default_directed
-        local = name.rpartition("}")[2]
+        nonlocal kind_attr_id, default_type
+        local = local_names.get(name) or local_names.setdefault(name, name.rpartition("}")[2])
         if fault or _PARENT.get(local) != stack[-1]:
             local = False
         elif local == "edge":
-            edge = (attrs.get("source"), attrs.get("target"), attrs.get("type"))
-            if edge[0] in ids and edge[1] in ids:
-                add_edge(*edge)
+            src_id, dst_id = attrs.get("source"), attrs.get("target")
+            both_ways = attrs.get("type", default_type) != "directed"
+            src, dst = ids.get(src_id), ids.get(dst_id)
+            if src is None or dst is None:
+                pending.append((src_id, dst_id, both_ways))
             else:
-                pending.append(edge)
+                add_edge(src, dst)
+                if both_ways:
+                    add_edge(dst, src)
         elif local == "attvalue":
             value = attrs.get("value")
             values.append((len(ids) - 1, attrs.get("for"), kinds.setdefault(value, value)))
@@ -150,7 +150,7 @@ def import_gexf(path) -> DirectedGraph:
         else:
             first[local] = attrs
             if local == "graph":
-                default_directed = attrs.get("defaultedgetype", "undirected") == "directed"
+                default_type = attrs.get("defaultedgetype", default_type)
         stack.append(local)
 
     def end(_name):
@@ -189,9 +189,11 @@ def import_gexf(path) -> DirectedGraph:
         for vid, attr_id, value in values:
             if attr_id == kind_attr_id and value is not None:
                 g.kinds[vid] = value
-    for edge in pending:
-        if edge[0] not in ids or edge[1] not in ids:
+    for src_id, dst_id, both_ways in pending:
+        if src_id not in ids or dst_id not in ids:
             raise GexfSchemaError(f"{path}: edge references unknown node "
-                                  f"({edge[0]!r} -> {edge[1]!r})")
-        add_edge(*edge)
+                                  f"({src_id!r} -> {dst_id!r})")
+        add_edge(ids[src_id], ids[dst_id])
+        if both_ways:
+            add_edge(ids[dst_id], ids[src_id])
     return g

@@ -60,7 +60,15 @@ class DirectedGraph:
         return True
 
     def add_edge_labels(self, src_label: str, dst_label: str) -> bool:
-        return self.add_edge(self.add_vertex(src_label), self.add_vertex(dst_label))
+        # add_vertex and add_edge in one body: build_graph calls this per edge.
+        ids, keys = self._ids, self._keys
+        if ids is None:
+            raise ValueError(f"cannot add vertex {src_label!r}: the graph is frozen")
+        src = ids[src_label] if src_label in ids else self.add_vertex(src_label)
+        dst = ids[dst_label] if dst_label in ids else self.add_vertex(dst_label)
+        count = len(keys)
+        keys.add(src << 32 | dst)
+        return len(keys) > count
 
     # -- queries --------------------------------------------------------------
     @property
@@ -166,14 +174,6 @@ def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.labels, src, indices)
 
 
-def _package_matches(package: str, prefix: str) -> bool:
-    return package == prefix or package.startswith(prefix + ".")
-
-
-def _passes(qn: QualifiedName, prefix: str) -> bool:
-    return not prefix or _package_matches(qn.package, prefix)
-
-
 def build_graph(table: RelationTable, package_prefix: str = "",
                 with_descriptors: bool = False) -> DirectedGraph:
     """Build the unipartite method/class graph from a relation table.
@@ -185,20 +185,33 @@ def build_graph(table: RelationTable, package_prefix: str = "",
     yields a single (callerClass -> calleeClass) edge.
     """
     g = DirectedGraph()
-    for record in table.records:
-        if not (_passes(record.caller, package_prefix)
-                and _passes(record.callee, package_prefix)):
+    add = g.add_edge_labels
+    # _labels of each distinct name: a table names each unit on many rows.
+    seen: dict[QualifiedName, tuple[str, ...]] = {}
+    for caller_kind, caller, _, callee in table.records:
+        ours = seen.get(caller)
+        if ours is None:
+            ours = seen[caller] = _labels(caller, package_prefix, with_descriptors)
+        theirs = seen.get(callee)
+        if theirs is None:
+            theirs = seen[callee] = _labels(callee, package_prefix, with_descriptors)
+        if not (ours and theirs):
             continue
-        if record.caller_kind is UnitKind.CLASS:
-            g.add_edge_labels(record.caller.render(with_descriptors),
-                              record.callee.render(with_descriptors))
+        if caller_kind is UnitKind.CLASS:
+            add(ours[0], theirs[0])
             continue
-        caller_label = record.caller.render(with_descriptors)
-        callee_class_label = record.callee.class_name
-        callee_label = record.callee.render(with_descriptors)
-        g.add_edge_labels(caller_label, callee_class_label)
-        if record.caller.class_name == record.callee.class_name:
-            g.add_edge_labels(caller_label, callee_label)
+        callee_label, callee_class_label = theirs
+        add(ours[0], callee_class_label)
+        if ours[1] == callee_class_label:
+            add(ours[0], callee_label)
         else:
-            g.add_edge_labels(callee_class_label, callee_label)
+            add(callee_class_label, callee_label)
     return g
+
+
+def _labels(qn: QualifiedName, prefix: str, with_descriptors: bool) -> tuple[str, ...]:
+    """() if the class of ``qn`` fails the prefix test, else (label, class label)."""
+    package = qn.package
+    if prefix and package != prefix and not package.startswith(prefix + "."):
+        return ()
+    return qn.render(with_descriptors), qn.class_name

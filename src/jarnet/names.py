@@ -8,6 +8,7 @@ descriptor mode is requested explicitly.
 from __future__ import annotations
 
 import csv
+import re
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -19,6 +20,10 @@ __all__ = ["UnitKind", "QualifiedName", "CallRecord", "ExtractStats", "RelationT
 
 _HEADER = ["caller_kind", "caller", "callee_kind", "callee"]
 METHOD_SEP = "::"
+# A method descriptor (JVMS 4.3.3): parameter field types, then V or a field
+# type. ``re`` compiles it at first use, so a start that parses none skips that.
+_FIELD_TYPE = r"\[*(?:[BCDFIJSZ]|L[^;]+;)"
+_METHOD_DESCRIPTOR = rf"\((?:{_FIELD_TYPE})*\)(?:V|{_FIELD_TYPE})"
 
 
 class UnitKind(Enum):
@@ -65,11 +70,13 @@ class QualifiedName(NamedTuple):
 
     @staticmethod
     def parse(text: str) -> "QualifiedName":
-        """Parse a rendered name, with or without a trailing descriptor."""
+        """Parse a rendered name, with or without a trailing descriptor: the
+        text from the last ``(``, if that is a well-formed method descriptor,
+        as a method name may hold ``(`` (JVMS 4.2.2)."""
         descriptor = None
         class_part, sep, method = text.partition(METHOD_SEP)
-        if sep and "(" in method:
-            cut = method.index("(")
+        cut = method.rfind("(") if sep else -1
+        if cut >= 0 and re.fullmatch(_METHOD_DESCRIPTOR, method[cut:]):
             method, descriptor = method[:cut], method[cut:]
         package, _, cls = class_part.rpartition(".")
         if not cls:
@@ -154,16 +161,13 @@ def _delimiter(path: Path, format: str | None) -> str:
 def write_relation_table(table: RelationTable, path, format: str | None = None,
                          with_descriptors: bool = False) -> None:
     delim = _delimiter(path, format)
+    letters = {kind: kind.value for kind in UnitKind}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delim, lineterminator="\n")
         writer.writerow(_HEADER)
-        for r in table.records:
-            writer.writerow([
-                r.caller_kind.value,
-                r.caller.render(with_descriptors),
-                r.callee_kind.value,
-                r.callee.render(with_descriptors),
-            ])
+        writer.writerows((letters[caller_kind], caller.render(with_descriptors),
+                          letters[callee_kind], callee.render(with_descriptors))
+                         for caller_kind, caller, callee_kind, callee in table.records)
 
 
 def read_relation_table(path) -> RelationTable:

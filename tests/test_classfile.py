@@ -1,4 +1,5 @@
-"""Class-file parsing: header gates, constant pool, methods, instruction scan."""
+"""Class-file parsing: header gates, constant pool, methods, and the
+bytecode walk, seen through the records extract_calls makes of it."""
 from __future__ import annotations
 
 import struct
@@ -6,14 +7,19 @@ import struct
 import pytest
 
 from classfile_builder import ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC, ClassBuilder
-from jarnet.classfile import instructions, parse_class
-from jarnet.errors import (
-    BadMagic,
-    ClassFormatError,
-    MalformedConstantPool,
-    UnknownOpcode,
-    UnsupportedVersion,
-)
+from jarnet.classfile import parse_class
+from jarnet.errors import BadMagic, ClassFormatError, MalformedConstantPool, UnsupportedVersion
+from jarnet.extractor import extract_calls
+
+
+def walked(cb: ClassBuilder, code, **method) -> tuple[list[str], int, int]:
+    """Add method ``go`` with this Code to ``cb`` and walk it: the callee of
+    each record extract_calls gives, with its descriptor, then its
+    call_sites and bad_code_methods."""
+    cb.add_method("go", "()V", code=code, **method)
+    records, stats = extract_calls(parse_class(cb.build()))
+    return ([r.callee.render(with_descriptor=True) for r in records],
+            stats.call_sites, stats.bad_code_methods)
 
 
 def test_bad_magic_rejected():
@@ -62,13 +68,8 @@ def test_long_and_double_occupy_two_slots():
     c.ldc2_long(1 << 40)
     c.invokestatic("p/Helper", "consume", "(J)V")
     c.return_()
-    cb.add_method("go", "()V", code=c)
-    unit = parse_class(cb.build())
-    code = unit.methods[0].code
-    ops = list(instructions(code))
-    assert [op for _, op, _ in ops] == [0x14, 0xB8, 0xB1]
-    target = unit.constants.method_refs[struct.unpack(">H", ops[1][2])[0]]
-    assert target[:3] == ("p/Helper", "consume", "(J)V")
+    # The call's pool index resolves only if each wide entry took two slots.
+    assert walked(cb, c) == (["p.Helper::consume(J)V"], 1, 0)
 
 
 def test_exotic_pool_tags_tolerated():
@@ -105,34 +106,38 @@ def test_class_name_index_must_be_class_entry():
 
 
 def test_instruction_stream_offsets():
+    # A class reference after each switch and wide instruction is found only
+    # if the walk stepped over that instruction's exact length.
     cb = ClassBuilder("p/T")
     c = cb.code()
     c.iconst(1)                                  # 0: 1 byte
     c.tableswitch(default=0, low=0, high=1)      # 1: opcode+2 pad+12 hdr+8
-    c.iconst(2)                                  # next
-    c.lookupswitch(default=0, pairs=[(5, 0)])    # opcode+pad+8+8
+    c.new("p/A")                                 # 24
+    c.lookupswitch(default=0, pairs=[(5, 0)])    # 27: opcode+0 pad+8+8
+    c.new("p/B")
     c.wide_iinc(300, 5)                          # 6 bytes
+    c.new("p/C")
     c.invokevirtual("p/T", "m", "()V")
     c.return_()
-    cb.add_method("go", "()V", code=c)
-    unit = parse_class(cb.build())
-    ops = [(off, op) for off, op, _ in instructions(unit.methods[0].code)]
-    opcodes = [op for _, op in ops]
-    assert opcodes == [0x04, 0xAA, 0x05, 0xAB, 0xC4, 0xB6, 0xB1]
     # tableswitch at offset 1: 1 opcode + 2 pad + 12 header + 2*4 jumps = 23
-    assert ops[2][0] == 24
-    for (off_a, _), (off_b, _) in zip(ops, ops[1:]):
-        assert off_b > off_a
+    assert c.code[24] == 0xBB
+    assert walked(cb, c) == (["p.T::m()V", "p.A", "p.B", "p.C"], 1, 0)
 
 
 def test_unknown_opcode_in_stream():
-    with pytest.raises(UnknownOpcode):
-        list(instructions(bytes([0x03, 0xFE])))
+    # The walk keeps what it found before the bad opcode, then gives up on
+    # the method, which counts as bad.
+    cb = ClassBuilder("p/T")
+    c = cb.code().invokestatic("p/U", "before", "()V").raw(bytes([0x03, 0xFE]))
+    c.invokestatic("p/U", "after", "()V").return_()
+    assert walked(cb, c) == (["p.U::before()V"], 1, 1)
 
 
 def test_truncated_instruction_stream():
-    with pytest.raises(ClassFormatError):
-        list(instructions(bytes([0xB6, 0x00])))  # invokevirtual missing a byte
+    # An invokevirtual missing a byte is not a call site: the method is bad.
+    cb = ClassBuilder("p/T")
+    c = cb.code().invokestatic("p/U", "before", "()V").raw(bytes([0xB6, 0x00]))
+    assert walked(cb, c) == (["p.U::before()V"], 1, 1)
 
 
 def test_exception_table_and_code_attributes_skipped():
@@ -141,9 +146,7 @@ def test_exception_table_and_code_attributes_skipped():
     c.invokestatic("p/X", "risky", "()V")
     c.return_()
     line_table = struct.pack(">HHH", 1, 0, 10)
-    cb.add_method("go", "()V", code=c,
-                  exception_table=[(0, 3, 3, "java/lang/Exception")],
+    walk = walked(cb, c, exception_table=[(0, 3, 3, "java/lang/Exception")],
                   extra_code_attributes=[("LineNumberTable", line_table)])
-    unit = parse_class(cb.build())
-    ops = [op for _, op, _ in instructions(unit.methods[0].code)]
-    assert ops == [0xB8, 0xB1]
+    assert walk == (["p.X::risky()V"], 1, 0)
+    assert parse_class(cb.build()).methods[0].code == bytes(c.code)

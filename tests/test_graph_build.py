@@ -3,7 +3,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from classfile_builder import ClassBuilder, make_jar
+from jarnet.cli import main
 from jarnet.extractor import extract_archive
+from jarnet.gexf import import_gexf
 from jarnet.graph import DirectedGraph, build_graph
 from jarnet.names import CallRecord, QualifiedName, RelationTable, UnitKind
 
@@ -137,3 +142,22 @@ def test_descriptor_labels_keep_overloads_apart():
     assert merged.n == 3
     assert split.n == 5
     assert all("::" in lbl for lbl in split.labels if "(" in lbl)
+
+
+@pytest.mark.parametrize("flags, rows, labels", [
+    ([], ["M,q.T::go,S,q.T::a(b"], ["q.T::go", "q.T", "q.T::a(b"]),
+    (["--descriptors"], ["M,q.T::go()V,S,q.T::a(b(I)V"], ["q.T::go()V", "q.T", "q.T::a(b(I)V"]),
+])
+def test_method_name_holding_a_paren_keeps_its_tail_through_build(tmp_path, capsys,
+                                                                   flags, rows, labels):
+    # JVMS 4.2.2 allows "(" in a method name; only a descriptor is split off.
+    cb = ClassBuilder("q/T")
+    cb.add_method("go", "()V", code=cb.code().invokestatic("q/T", "a(b", "(I)V").return_())
+    jar, table, gexf = tmp_path / "t.jar", tmp_path / "t.csv", tmp_path / "t.gexf"
+    jar.write_bytes(make_jar([("q/T.class", cb.build())]))
+    assert main(["extract", str(jar), "-o", str(table), *flags]) == 0
+    assert table.read_text().splitlines()[1:] == rows
+    assert main(["build", str(table), "-o", str(gexf), *flags]) == 0
+    g = import_gexf(gexf)
+    assert g.labels == labels
+    assert edges_by_label(g) == {(labels[0], labels[1]), (labels[0], labels[2])}

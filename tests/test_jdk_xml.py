@@ -20,7 +20,7 @@ from jarnet.classfile import parse_class
 from jarnet.extractor import extract_archive, extract_calls, open_archive
 from jarnet.graph import build_graph
 from jarnet.metrics import avg_clustering
-from jarnet.names import ExtractStats, UnitKind
+from jarnet.names import ExtractStats, UnitKind, read_relation_table, write_relation_table
 
 JMOD = Path("/usr/lib/jvm/java-17-openjdk-amd64/jmods/java.xml.jmod")
 SHA256 = "b483fa71e01127971754c7a903afa86de06e843e272b9a2768724a39e0c355d5"
@@ -50,6 +50,19 @@ def test_every_class_extracts_as_the_oracle_does(table):
 
 def test_extraction_is_deterministic(table):
     assert extract_archive(JMOD).records == table.records
+
+
+def test_table_round_trips_with_and_without_descriptors(table, tmp_path):
+    # Every descriptor javac wrote is well-formed, so parsing splits off each one.
+    path = tmp_path / "table.csv"
+    write_relation_table(table, path, with_descriptors=True)
+    assert read_relation_table(path).records == table.records
+    write_relation_table(table, path)
+    plain = [record._replace(caller=record.caller._replace(descriptor=None),
+                             callee=record.callee._replace(descriptor=None))
+             for record in table.records]
+    assert read_relation_table(path).records == plain
+    assert sum(record.callee.descriptor is not None for record in table.records) > 40000
 
 
 def digraph_by_the_rules(table) -> nx.DiGraph:

@@ -66,6 +66,34 @@ def test_parse_with_descriptor():
     assert q.render(with_descriptor=True) == "a.b.C::m(Ljava/lang/String;)V"
 
 
+# A method name may hold "(" (JVMS 4.2.2); the last entry's name merely
+# looks like the start of a descriptor.
+PAREN_NAMES = [QualifiedName("q", "T", "a(b", "()V"), QualifiedName("q", "T", "a(", "(I)V"),
+               QualifiedName("q", "T", "x(y(z", "([[Lq/T;J)[Ljava/lang/String;"),
+               QualifiedName("", "T", "a(b)", "(Lq/T;)V"), QualifiedName("q", "T", "a(I", "()V")]
+
+
+@pytest.mark.parametrize("name", PAREN_NAMES, ids=lambda name: name.render(True))
+def test_parse_round_trips_method_names_holding_a_paren(name):
+    assert QualifiedName.parse(name.render(with_descriptor=True)) == name
+    assert QualifiedName.parse(name.render()) == name._replace(descriptor=None)
+
+
+@pytest.mark.parametrize("text, method, descriptor", [
+    ("q.T::a(b", "a(b", None),          # no descriptor follows the last "("
+    ("q.T::a(b)", "a(b)", None),
+    ("q.T::a(I)", "a(I)", None),        # a descriptor needs a return type
+    ("q.T::a(LT;)VV", "a(LT;)VV", None),
+    ("q.T::a(L;)V", "a(L;)V", None),    # and a class name inside L...;
+    ("q.T::a((I)V", "a(", "(I)V"),
+    ("q.T::m(Ljava/lang/String;[[I)[Lx/Y;", "m", "(Ljava/lang/String;[[I)[Lx/Y;"),
+])
+def test_parse_takes_only_a_well_formed_descriptor(text, method, descriptor):
+    name = QualifiedName.parse(text)
+    assert (name.method, name.descriptor) == (method, descriptor)
+    assert name.render(with_descriptor=True) == text
+
+
 def test_record_is_frozen_and_hashable():
     q = QualifiedName.parse("a.B::m")
     r = CallRecord(UnitKind.METHOD, q, UnitKind.METHOD, q)
