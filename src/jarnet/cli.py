@@ -71,11 +71,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    graph = import_gexf(args.gexf)
     skip = tuple(dict.fromkeys(args.skip or ()))
-    sample_sources = args.sampled_paths
-    result = analyze_graph(graph, seed=args.seed, replicates=args.replicates,
-                           top=args.top, sample_sources=sample_sources, skip=skip)
+    # No name holds the graph, so it is freed before the digest loads OpenSSL.
+    result = analyze_graph(import_gexf(args.gexf), seed=args.seed,
+                           replicates=args.replicates, top=args.top,
+                           sample_sources=args.sampled_paths, skip=skip)
     provenance = {
         "tool": "jarnet",
         "version": __version__,
@@ -88,8 +88,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "replicates": args.replicates,
         "top": args.top,
         "paths": {
-            "mode": "exact" if sample_sources is None else "sampled",
-            "sources": sample_sources,
+            "mode": "exact" if args.sampled_paths is None else "sampled",
+            "sources": args.sampled_paths,
         },
         "skipped": list(skip),
     }

@@ -71,6 +71,8 @@ def _local_move(adj, k, two_m, resolution, order, init=None):
 
     adj: per-vertex dict neighbor -> weight (no self entries).
     Returns (community per vertex, whether any vertex moved).
+    Sweeps end once n visits in a row, across sweeps, moved nothing: all
+    saw one state (``tot`` sums are exact), so no later visit would move.
     """
     n = len(adj)
     comm = list(init) if init is not None else list(range(n))
@@ -78,9 +80,8 @@ def _local_move(adj, k, two_m, resolution, order, init=None):
     for i in range(n):
         tot[comm[i]] += k[i]
     moved_any = False
-    improved = True
-    while improved:
-        improved = False
+    quiet = 0
+    while quiet < n:
         for i in order:
             ci = comm[i]
             w_to: dict[int, float] = {}
@@ -89,10 +90,8 @@ def _local_move(adj, k, two_m, resolution, order, init=None):
                 w_to[cj] = w_to.get(cj, 0.0) + w
             tot[ci] -= k[i]
             best_c = ci
-            best_gain = w_to.get(ci, 0.0) - resolution * tot[ci] * k[i] / two_m
+            best_gain = w_to.pop(ci, 0.0) - resolution * tot[ci] * k[i] / two_m
             for c, w in w_to.items():
-                if c == ci:
-                    continue
                 gain = w - resolution * tot[c] * k[i] / two_m
                 if gain > best_gain + _GAIN_EPS:
                     best_gain = gain
@@ -100,19 +99,19 @@ def _local_move(adj, k, two_m, resolution, order, init=None):
             tot[best_c] += k[i]
             if best_c != ci:
                 comm[i] = best_c
-                improved = True
                 moved_any = True
+                quiet = 0
+            else:
+                quiet += 1
+                if quiet == n:
+                    break
     return comm, moved_any
 
 
 def _renumber(comm):
     """Dense community ids in first-appearance order over vertex index."""
     mapping: dict[int, int] = {}
-    dense = []
-    for c in comm:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        dense.append(mapping[c])
+    dense = [mapping.setdefault(c, len(mapping)) for c in comm]
     return dense, len(mapping)
 
 
@@ -205,8 +204,7 @@ def _one_run(adj0, k0, two_m, resolution, rng):
     dense, _ = _renumber(membership)
     order = list(range(n0))
     rng.shuffle(order)
-    refined, moved = _local_move(adj0, k0, two_m, resolution, order, init=dense)
-    return refined if moved else dense
+    return _local_move(adj0, k0, two_m, resolution, order, init=dense)[0]
 
 
 def louvain(g, resolution: float = 1.0, seed: int = 0, restarts: int = 5) -> Partition:

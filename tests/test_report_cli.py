@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -256,6 +257,34 @@ def test_analyze_projects_the_graph_once(medium_jar, tmp_path, capsys, monkeypat
             monkeypatch.setattr(module, "undirected_projection", counted)
     analyze_graph(import_gexf(gexf), seed=7, replicates=2)
     assert len(calls) == 1
+
+
+def test_analyze_frees_the_graph_before_the_digest(sample_jar, tmp_path, capsys,
+                                                   monkeypatch):
+    # The digest loads OpenSSL and reads the input; a graph still alive then
+    # adds its CSR to the step's peak RSS. No gc.collect(): reference counts
+    # alone must free it.
+    from jarnet import cli
+    from jarnet.report import sha256_file
+
+    gexf = _extract_and_build(sample_jar, tmp_path, capsys)
+    indices = []
+    dead_at_digest = []
+
+    def importing(path):
+        g = import_gexf(path)
+        indices.append(weakref.ref(g.to_csr()[1]))
+        return g
+
+    def digesting(path):
+        dead_at_digest.append(indices[0]() is None)
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli, "import_gexf", importing)
+    monkeypatch.setattr(cli, "sha256_file", digesting)
+    out = tmp_path / "r.json"
+    assert run(["analyze", str(gexf), "-o", str(out)], capsys)[0] == 0
+    assert dead_at_digest == [True]
 
 
 def test_analyze_skip_stage_marks_incomplete(sample_jar, tmp_path, capsys):
