@@ -1,10 +1,10 @@
-"""Binary class-file parsing: header, constant pool, methods, and the
-instruction-length tables of the bytecode walk.
+"""Binary class-file parsing: the container format of header, constant
+pool and methods.
 
 Everything is big-endian. Only the pieces needed for call extraction are
-materialized; attribute bodies other than Code are skipped. The walk over
-a Code stream itself lives in ``extractor.extract_calls``, which reads
-``_LENGTHS`` and ``_switch_length`` from here.
+materialized; attribute bodies other than Code are skipped, and a Code
+body is kept as raw bytes. The instruction format inside it (lengths,
+switches, ``wide``) belongs to ``extractor``, beside its one walker.
 """
 from __future__ import annotations
 
@@ -42,25 +42,6 @@ TAG_DYNAMIC = 17
 TAG_INVOKEDYNAMIC = 18
 TAG_MODULE = 19
 TAG_PACKAGE = 20
-
-# Operand byte counts of the opcodes that have operands. Every other opcode
-# up to 0xC9 has none; switches and wide are handled separately.
-_OPERANDS = {0x10: 1, 0x11: 2, 0x12: 1, 0x13: 2, 0x14: 2, 0x84: 2, 0xA9: 1, 0xB9: 4,
-             0xBA: 4, 0xBB: 2, 0xBC: 1, 0xBD: 2, 0xC0: 2, 0xC1: 2, 0xC5: 3, 0xC6: 2,
-             0xC7: 2, 0xC8: 4, 0xC9: 4, **dict.fromkeys(range(0x15, 0x1A), 1),
-             **dict.fromkeys(range(0x36, 0x3B), 1), **dict.fromkeys(range(0x99, 0xA9), 2),
-             **dict.fromkeys(range(0xB2, 0xB9), 2)}
-
-OP_TABLESWITCH = 0xAA
-OP_LOOKUPSWITCH = 0xAB
-OP_WIDE = 0xC4
-OP_IINC = 0x84
-
-# Instruction length by opcode, operands included: 0 for a byte that is no
-# opcode, -1 for the switches and wide, whose length depends on the stream.
-_LENGTHS = [1 + _OPERANDS.get(op, 0) if op <= 0xC9 else 0 for op in range(256)]
-_LENGTHS[OP_TABLESWITCH] = _LENGTHS[OP_LOOKUPSWITCH] = _LENGTHS[OP_WIDE] = -1
-
 
 def _decode_mutf8(raw: bytes) -> str:
     # JVM modified UTF-8: embedded NUL is C0 80, supplementary chars use
@@ -135,8 +116,6 @@ _U2U2 = struct.Struct(">HH").unpack_from
 _U2U4 = struct.Struct(">HI").unpack_from
 _U2X4 = struct.Struct(">HHHH").unpack_from
 _U4 = struct.Struct(">I").unpack_from
-_I4 = struct.Struct(">i").unpack_from
-_I4I4 = struct.Struct(">ii").unpack_from
 
 _REF_TAGS = (TAG_FIELDREF, TAG_METHODREF, TAG_IMETHODREF)
 _UTF8_REF_TAGS = (TAG_STRING, TAG_METHODTYPE, TAG_MODULE, TAG_PACKAGE)
@@ -303,28 +282,3 @@ def parse_class(data: bytes, entry: str = "<bytes>") -> ClassUnit:
         raise TruncatedClassFile(f"{entry}: truncated ({exc})") from None
     return ClassUnit(name, super_name, access_flags, (major, minor),
                      interfaces, methods, pool)
-
-
-def _switch_length(code: bytes, pos: int, op: int) -> int:
-    """Length of the tableswitch, lookupswitch or wide instruction at pos."""
-    size = len(code)
-    if op == OP_WIDE:
-        if pos + 1 >= size:
-            raise TruncatedClassFile(f"truncated wide at {pos}")
-        return 6 if code[pos + 1] == OP_IINC else 4
-    pad = (4 - ((pos + 1) % 4)) % 4
-    base = pos + 1 + pad
-    if op == OP_TABLESWITCH:
-        if base + 12 > size:
-            raise TruncatedClassFile(f"truncated tableswitch at {pos}")
-        low, high = _I4I4(code, base + 4)
-        if high < low:
-            raise TruncatedClassFile(f"tableswitch bounds at {pos}")
-        return 1 + pad + 12 + 4 * (high - low + 1)
-    if base + 8 > size:
-        raise TruncatedClassFile(f"truncated lookupswitch at {pos}")
-    (npairs,) = _I4(code, base + 4)
-    if npairs < 0:
-        raise TruncatedClassFile(f"lookupswitch pair count at {pos}")
-    return 1 + pad + 8 + 8 * npairs
-

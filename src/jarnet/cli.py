@@ -51,7 +51,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     write_relation_table(table, args.output, format=args.format,
                          with_descriptors=args.descriptors)
     stats = table.stats
-    print(f"wrote {args.output}: classes={table.class_count} "
+    print(f"wrote {args.output}: classes={stats.entries_scanned} "
           f"records={len(table.records)} call_sites={stats.call_sites} "
           f"unresolved={stats.unresolved_sites} "
           f"entries_skipped={stats.entries_skipped} "

@@ -115,24 +115,23 @@ def _renumber(comm):
     return dense, len(mapping)
 
 
-def _aggregate(adj, self_w, comm, n_comms):
-    """Collapse communities into super-vertices, keeping edge weights."""
+def _aggregate(adj, k, comm, n_comms):
+    """Collapse communities into super-vertices, keeping edge weights, and sum their
+    members' strengths ``k``: exact, as all are integer-valued floats below 2^53."""
     new_adj: list[dict[int, float]] = [{} for _ in range(n_comms)]
-    new_self = [0.0] * n_comms
+    new_k = [0.0] * n_comms
     for u in range(len(adj)):
         cu = comm[u]
-        new_self[cu] += self_w[u]
+        new_k[cu] += k[u]
         for v in sorted(adj[u]):
             if v < u:
                 continue
-            w = adj[u][v]
             cv = comm[v]
-            if cu == cv:
-                new_self[cu] += w
-            else:
+            if cu != cv:
+                w = adj[u][v]
                 new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
                 new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-    return new_adj, new_self
+    return new_adj, new_k
 
 
 _EXACT_LIMIT = 8  # Bell(8) = 4140 candidate partitions: enumerating them
@@ -190,7 +189,6 @@ def _one_run(adj0, k0, two_m, resolution, rng):
     n0 = len(adj0)
     membership = list(range(n0))
     adj, k = adj0, k0
-    self_w = [0.0] * n0
     while True:
         order = list(range(len(adj)))
         rng.shuffle(order)
@@ -199,12 +197,10 @@ def _one_run(adj0, k0, two_m, resolution, rng):
         if not moved or n_comms == len(adj):
             break
         membership = [dense[membership[v]] for v in range(n0)]
-        adj, self_w = _aggregate(adj, self_w, dense, n_comms)
-        k = [sum(adj[u].values()) + 2.0 * self_w[u] for u in range(n_comms)]
-    dense, _ = _renumber(membership)
+        adj, k = _aggregate(adj, k, dense, n_comms)
     order = list(range(n0))
     rng.shuffle(order)
-    return _local_move(adj0, k0, two_m, resolution, order, init=dense)[0]
+    return _local_move(adj0, k0, two_m, resolution, order, init=membership)[0]
 
 
 def louvain(g, resolution: float = 1.0, seed: int = 0, restarts: int = 5) -> Partition:

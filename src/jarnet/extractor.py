@@ -1,8 +1,9 @@
 """Call extraction: walk archive entries and emit caller/callee records.
 
-``extract_calls`` holds the one bytecode walk: a loop over each Code
-stream that steps by ``classfile._LENGTHS`` (``_switch_length`` for the
-switches and ``wide``) and reads a site's pool index from the code bytes.
+This module owns the instruction format inside a Code attribute, and
+``classfile`` the container around it. ``extract_calls`` holds the one walk:
+a loop over each Code stream that steps by ``_LENGTHS`` (``_switch_length``
+for the switches and ``wide``) and reads a site's pool index from the code bytes.
 
 Per class, records appear as call rows (methods in declaration order,
 call sites in bytecode order) followed by the class-level usage rows
@@ -10,10 +11,11 @@ call sites in bytecode order) followed by the class-level usage rows
 """
 from __future__ import annotations
 
+import struct
 import zipfile
 from pathlib import Path
 
-from .classfile import _LENGTHS, ClassUnit, _switch_length, parse_class
+from .classfile import ClassUnit, parse_class
 from .errors import (
     ArchiveCorrupt,
     ArchiveNotFound,
@@ -42,11 +44,30 @@ OP_INSTANCEOF = 0xC1
 OP_MULTIANEWARRAY = 0xC5
 OP_LDC = 0x12
 OP_LDC_W = 0x13
+OP_TABLESWITCH = 0xAA
+OP_LOOKUPSWITCH = 0xAB
+OP_WIDE = 0xC4
+OP_IINC = 0x84
 
 # Largest declared size of an entry that is read. Class-file counts are
 # u2, so real classes stay far below it. A read never returns more than
 # the declared size, and a false declared size fails the CRC check.
 MAX_ENTRY_BYTES = 16 << 20
+
+# Operand byte counts of the opcodes that have operands. Every other opcode
+# up to 0xC9 has none; switches and wide are handled separately.
+_OPERANDS = {0x10: 1, 0x11: 2, 0x12: 1, 0x13: 2, 0x14: 2, 0x84: 2, 0xA9: 1, 0xB9: 4,
+             0xBA: 4, 0xBB: 2, 0xBC: 1, 0xBD: 2, 0xC0: 2, 0xC1: 2, 0xC5: 3, 0xC6: 2,
+             0xC7: 2, 0xC8: 4, 0xC9: 4, **dict.fromkeys(range(0x15, 0x1A), 1),
+             **dict.fromkeys(range(0x36, 0x3B), 1), **dict.fromkeys(range(0x99, 0xA9), 2),
+             **dict.fromkeys(range(0xB2, 0xB9), 2)}
+
+# Instruction length by opcode, operands included: 0 for a byte that is no
+# opcode, -1 for the switches and wide, whose length depends on the stream.
+_LENGTHS = [1 + _OPERANDS.get(op, 0) if op <= 0xC9 else 0 for op in range(256)]
+_LENGTHS[OP_TABLESWITCH] = _LENGTHS[OP_LOOKUPSWITCH] = _LENGTHS[OP_WIDE] = -1
+_I4 = struct.Struct(">i").unpack_from
+_I4I4 = struct.Struct(">ii").unpack_from
 
 # What extract_calls does at each opcode: resolve a method ref, count an
 # unresolvable site, or note the class of a field ref or class constant.
@@ -91,6 +112,30 @@ def _element_class(internal: str) -> str | None:
     if stripped.startswith("L") and stripped.endswith(";"):
         return stripped[1:-1]
     return None
+
+
+def _switch_length(code: bytes, pos: int, op: int) -> int:
+    """Length of the tableswitch, lookupswitch or wide instruction at pos."""
+    size = len(code)
+    if op == OP_WIDE:
+        if pos + 1 >= size:
+            raise TruncatedClassFile(f"truncated wide at {pos}")
+        return 6 if code[pos + 1] == OP_IINC else 4
+    pad = (4 - ((pos + 1) % 4)) % 4
+    base = pos + 1 + pad
+    if op == OP_TABLESWITCH:
+        if base + 12 > size:
+            raise TruncatedClassFile(f"truncated tableswitch at {pos}")
+        low, high = _I4I4(code, base + 4)
+        if high < low:
+            raise TruncatedClassFile(f"tableswitch bounds at {pos}")
+        return 1 + pad + 12 + 4 * (high - low + 1)
+    if base + 8 > size:
+        raise TruncatedClassFile(f"truncated lookupswitch at {pos}")
+    (npairs,) = _I4(code, base + 4)
+    if npairs < 0:
+        raise TruncatedClassFile(f"lookupswitch pair count at {pos}")
+    return 1 + pad + 8 + 8 * npairs
 
 
 def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
@@ -206,7 +251,6 @@ def extract_archive(path, tolerant: bool = False) -> RelationTable:
         stats.entries_skipped += 1
 
     records: list[CallRecord] = []
-    class_count = 0
     for name, data in open_archive(path, tolerant=tolerant, on_skip=skipped):
         try:
             class_records, class_stats = extract_calls(parse_class(data, entry=name))
@@ -217,6 +261,4 @@ def extract_archive(path, tolerant: bool = False) -> RelationTable:
             continue
         records.extend(class_records)
         stats.merge(class_stats)
-        class_count += 1
-    return RelationTable(records=records, source_archive=str(path),
-                         class_count=class_count, stats=stats)
+    return RelationTable(records=records, source_archive=str(path), stats=stats)

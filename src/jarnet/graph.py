@@ -60,15 +60,7 @@ class DirectedGraph:
         return True
 
     def add_edge_labels(self, src_label: str, dst_label: str) -> bool:
-        # add_vertex and add_edge in one body: build_graph calls this per edge.
-        ids, keys = self._ids, self._keys
-        if ids is None:
-            raise ValueError(f"cannot add vertex {src_label!r}: the graph is frozen")
-        src = ids[src_label] if src_label in ids else self.add_vertex(src_label)
-        dst = ids[dst_label] if dst_label in ids else self.add_vertex(dst_label)
-        count = len(keys)
-        keys.add(src << 32 | dst)
-        return len(keys) > count
+        return self.add_edge(self.add_vertex(src_label), self.add_vertex(dst_label))
 
     # -- queries --------------------------------------------------------------
     @property

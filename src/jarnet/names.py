@@ -143,10 +143,9 @@ class RelationTable:
     """The extracted caller/callee relation for one archive."""
 
     def __init__(self, records: list[CallRecord] | None = None, source_archive: str = "",
-                 class_count: int = 0, stats: ExtractStats | None = None):
+                 stats: ExtractStats | None = None):
         self.records = [] if records is None else records
         self.source_archive = source_archive
-        self.class_count = class_count
         self.stats = stats
 
 
@@ -173,14 +172,19 @@ def write_relation_table(table: RelationTable, path, format: str | None = None,
 def read_relation_table(path) -> RelationTable:
     kinds = {kind.value: kind for kind in UnitKind}
     # A table names each unit on many rows. QualifiedName is frozen, so
-    # rows that spell a name alike share one parsed instance.
-    names: dict[str, QualifiedName] = {}
+    # rows that spell a name alike share one parsed instance. A C row names
+    # classes, which may hold "::" (JVMS 4.2.1): those split at the last ".".
+    def cached(parse):
+        names: dict[str, QualifiedName] = {}
+        return lambda text: names.get(text) or names.setdefault(text, parse(text))
 
-    def name_of(text: str) -> QualifiedName:
-        name = names.get(text)
-        if name is None:
-            name = names[text] = QualifiedName.parse(text)
-        return name
+    def parse_class(text: str) -> QualifiedName:
+        package, _, cls = text.rpartition(".")
+        if not cls:
+            raise MalformedRecord(f"empty class name in {text!r}")
+        return QualifiedName(package, cls)
+
+    name_of, class_of = cached(QualifiedName.parse), cached(parse_class)
 
     def kind_of(letter: str) -> UnitKind:
         kind = kinds.get(letter)
@@ -204,8 +208,9 @@ def read_relation_table(path) -> RelationTable:
                 if len(row) != 4:
                     raise MalformedRecord(f"{path}:{lineno}: expected 4 columns")
                 try:
-                    records.append(CallRecord(kind_of(row[0]), name_of(row[1]),
-                                              kind_of(row[2]), name_of(row[3])))
+                    parse = class_of if row[0] == "C" else name_of
+                    records.append(CallRecord(kind_of(row[0]), parse(row[1]),
+                                              kind_of(row[2]), parse(row[3])))
                 except MalformedRecord as exc:
                     raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
         except csv.Error as exc:

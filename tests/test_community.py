@@ -183,6 +183,33 @@ def test_local_move_phase_matches_oracle(resolution):
         assert got == want
 
 
+def test_aggregate_phase_matches_oracle():
+    # The oracle recounts each level's strengths from its edges and self
+    # weights; _aggregate sums its members' k. Rows are filled in random
+    # order, so an unsorted walk of adj[u] changes the new rows' order, which
+    # drives _local_move's tie-breaks.
+    rng = random.Random(20)
+    for _ in range(200):
+        n = rng.randrange(2, 40)
+        p = rng.uniform(0.05, 0.5)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        rng.shuffle(pairs)
+        adj: list[dict[int, float]] = [{} for _ in range(n)]
+        for u, v in pairs:
+            adj[u][v] = adj[v][u] = float(rng.randrange(1, 1 << 20))
+        self_w = [float(rng.randrange(1 << 20)) for _ in range(n)]
+        k = [sum(row.values()) + 2.0 * w for row, w in zip(adj, self_w)]
+        n_comms = rng.randrange(1, n + 1)
+        comm = list(range(n_comms)) + [rng.randrange(n_comms) for _ in range(n - n_comms)]
+        rng.shuffle(comm)
+        got_adj, got_k = community._aggregate(adj, k, comm, n_comms)
+        want_adj, want_self = louvain_oracle._aggregate(adj, self_w, comm, n_comms)
+        want_k = [sum(row.values()) + 2.0 * w for row, w in zip(want_adj, want_self)]
+        assert [list(row.items()) for row in got_adj] == \
+            [list(row.items()) for row in want_adj]
+        assert [x.hex() for x in got_k] == [x.hex() for x in want_k]
+
+
 def test_local_move_visits_every_vertex_before_stopping():
     # Only the last vertex of the order is out of place, so a phase that
     # stops before its first n visits misses the one move.

@@ -2,8 +2,10 @@
 bound there, so ``from jarnet import *`` cannot fail on a deleted name."""
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +56,17 @@ def test_star_import_binds_exactly_all():
     namespace: dict = {}
     exec("from jarnet import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(jarnet.__all__)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # ``from . import _kernels`` names a module and ``from ._lazy import np``
+    # a public name; ``from .classfile import _LENGTHS`` would couple two
+    # modules through a name neither declares.
+    found = []
+    for path in sorted(Path(jarnet.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module is not None and (
+                    node.level or node.module.split(".")[0] == "jarnet"):
+                found += [f"{path.name}: {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []

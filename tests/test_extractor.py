@@ -36,7 +36,7 @@ def rows(table):
 def test_sample_fixture_records(sample_jar):
     table = extract_archive(sample_jar)
     assert rows(table) == GOLDEN_SAMPLE_ROWS
-    assert table.class_count == 3
+    assert table.stats.entries_scanned == 3
     assert table.source_archive == str(sample_jar)
 
 
@@ -161,7 +161,7 @@ def test_count_conservation(medium_jar):
     stats = table.stats
     call_records = [r for r in table.records if r.caller_kind is UnitKind.METHOD]
     assert stats.call_sites - stats.unresolved_sites == len(call_records)
-    assert table.class_count == 60
+    assert table.stats.entries_scanned == 60
 
 
 def test_static_initializer_caller_name():
@@ -224,7 +224,7 @@ def test_non_class_entries_ignored(tmp_path):
     names = [name for name, _ in open_archive(path)]
     assert names == ["p/Only.class"]
     table = extract_archive(path)
-    assert table.class_count == 1
+    assert table.stats.entries_scanned == 1
 
 
 def test_corrupt_entry_strict_and_tolerant(tmp_path):
@@ -243,7 +243,7 @@ def test_corrupt_entry_strict_and_tolerant(tmp_path):
         extract_archive(path)
     assert "p/Broken.class" in str(err.value)
     table = extract_archive(path, tolerant=True)
-    assert table.class_count == 2
+    assert table.stats.entries_scanned == 2
     assert table.stats.entries_skipped == 1
     callers = {r.caller.class_name for r in table.records}
     assert callers == {"p.Good", "p.Other"}
@@ -267,7 +267,7 @@ def oversized_entry_jar(tmp_path):
 def test_entry_over_size_cap_strict_and_tolerant(tmp_path, monkeypatch):
     path, big = oversized_entry_jar(tmp_path)
     monkeypatch.setattr(extractor, "MAX_ENTRY_BYTES", big)
-    assert extract_archive(path).class_count == 3
+    assert extract_archive(path).stats.entries_scanned == 3
     monkeypatch.setattr(extractor, "MAX_ENTRY_BYTES", big - 1)
     with pytest.raises(EntryDecodeError) as err:
         extract_archive(path)
@@ -280,7 +280,7 @@ def test_entry_over_size_cap_strict_and_tolerant(tmp_path, monkeypatch):
     assert names == ["p/Small.class", "p/Other.class"]
     assert skipped == ["p/Big.class"]
     table = extract_archive(path, tolerant=True)
-    assert table.class_count == 2
+    assert table.stats.entries_scanned == 2
     assert table.stats.entries_skipped == 1
 
 

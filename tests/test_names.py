@@ -128,7 +128,7 @@ def _synthetic_records(count: int, seed: int, with_descriptors: bool = False):
 @pytest.mark.parametrize("fmt", ["csv", "tsv"])
 def test_round_trip_identity(tmp_path, fmt):
     records = _synthetic_records(10_000, seed=3)
-    table = RelationTable(records=records, source_archive="synthetic", class_count=40)
+    table = RelationTable(records=records, source_archive="synthetic")
     path = tmp_path / f"rel.{fmt}"
     write_relation_table(table, path, format=fmt)
     back = read_relation_table(path)
@@ -189,3 +189,29 @@ def test_read_reports_bad_kind_or_name_with_its_line(tmp_path, row, problem):
         read_relation_table(path)
     assert str(err.value).startswith(f"{path}:3: ")
     assert problem in str(err.value)
+
+
+def test_read_takes_c_row_names_as_class_names(tmp_path):
+    # JVMS 4.2.1 allows ":" in a class name: a C row's name splits only at
+    # its last ".", while a method row's "p.A::B" still names method B. The
+    # rows alternate, so neither parse may be served from the other's cache.
+    path = tmp_path / "rel.csv"
+    path.write_text("caller_kind,caller,callee_kind,callee\n"
+                    "C,p.A::B,C,q.Y\nM,p.A::B,M,q.Y::f\n"
+                    "C,p.A::B,C,q.Y\nM,p.A::B,M,q.Y::f\n", encoding="utf-8")
+    records = read_relation_table(path).records
+    for record in records[0::2]:
+        assert (record.caller, record.callee) == (QualifiedName("p", "A::B"),
+                                                  QualifiedName("q", "Y"))
+    for record in records[1::2]:
+        assert (record.caller, record.callee) == (QualifiedName("p", "A", "B"),
+                                                  QualifiedName("q", "Y", "f"))
+
+
+@pytest.mark.parametrize("row", ["C,p.,C,q.Y", "C,p.A,C,", "C,p.A::B,C,q.Y::."])
+def test_read_rejects_c_row_with_empty_class_name(tmp_path, row):
+    path = tmp_path / "rel.csv"
+    path.write_text("caller_kind,caller,callee_kind,callee\n" + row + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=r":2: empty class name in "):
+        read_relation_table(path)

@@ -61,6 +61,7 @@ def test_extract_corrupt_entry_strict_vs_tolerant(tmp_path, capsys):
                           capsys)
     assert code == 0
     assert "entries_skipped=1" in stdout
+    assert "classes=1" in stdout
 
 
 def test_extract_entry_over_size_cap_exits_2(tmp_path, capsys, monkeypatch):
@@ -122,6 +123,26 @@ def test_build_single_record_makes_three_nodes(tmp_path, capsys):
     g = import_gexf(gexf)
     assert sorted(g.labels) == ["a.B::foo", "c.D", "c.D::bar"]
     assert g.m == 2
+
+
+def test_build_reads_c_row_class_name_holding_method_sep(tmp_path, capsys):
+    # JVMS 4.2.1 allows ":" in a class name; extract writes it verbatim.
+    cb = ClassBuilder("p/A::B")
+    c = cb.code()
+    c.invokestatic("q/X", "run", "()V")
+    c.new("q/Y")
+    c.return_()
+    cb.add_method("go", "()V", code=c)
+    jar = tmp_path / "colons.jar"
+    jar.write_bytes(make_jar([("p/A::B.class", cb.build())]))
+    table = tmp_path / "rel.csv"
+    assert run(["extract", str(jar), "-o", str(table)], capsys)[0] == 0
+    assert "C,p.A::B,C,q.Y\n" in table.read_text(encoding="utf-8")
+    gexf = tmp_path / "net.gexf"
+    code, _, err = run(["build", str(table), "-o", str(gexf)], capsys)
+    assert code == 0, err
+    g = import_gexf(gexf)
+    assert (g.labels.index("p.A::B"), g.labels.index("q.Y")) in set(g.edges())
 
 
 def test_build_empty_table_valid_empty_gexf(tmp_path, capsys):
