@@ -72,6 +72,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     skip = tuple(dict.fromkeys(args.skip or ()))
+    if args.plots:  # made first, so a DIR that cannot be one fails at once
+        os.makedirs(args.plots, exist_ok=True)
     # No name holds the graph, so it is freed before the digest loads OpenSSL.
     result = analyze_graph(import_gexf(args.gexf), seed=args.seed,
                            replicates=args.replicates, top=args.top,

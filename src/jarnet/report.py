@@ -49,19 +49,20 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _rank_rows(pairs: list[tuple[str, float]]) -> list[dict]:
+def _ranked(run: _Run, vector: CentralityVector) -> list[dict]:
     return [{"rank": i, "label": label, "score": score}
-            for i, (label, score) in enumerate(pairs, start=1)]
+            for i, (label, score) in enumerate(top_k(vector, run.top), start=1)]
 
 
 class _Run:
-    """The options of one analysis and the results its stages share."""
+    """The options of one analysis, the pieces its stages have returned, and
+    the community sizes that only ``write_plot_data`` reads."""
 
     def __init__(self, g: DirectedGraph, seed: int, replicates: int, top: int,
-                 sample_sources: int | None, clustering: float, result: AnalysisResult):
+                 sample_sources: int | None):
         self.g, self.seed, self.replicates, self.top = g, seed, replicates, top
-        self.sample_sources, self.clustering, self.result = sample_sources, clustering, result
-        self.paths: dict = {}
+        self.sample_sources, self.community_sizes = sample_sources, None
+        self.pieces: dict = {}
         self.incomplete = False
 
     def guarded(self, fn, *args):
@@ -73,45 +74,47 @@ class _Run:
             return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-# The skippable stages, in the order they run. Each returns its section
-# and calls the analysis functions by module-global name, so a wrapper
+# Every measure is a stage: a body that takes the run and returns its piece
+# of the report, reading an earlier stage's result as that stage's piece.
+# Bodies call the analysis functions by module-global name, so a wrapper
 # rebound on this module (as the benchmark's tracer does) sees the call.
-
-def _paths(run: _Run) -> dict:
-    run.paths = {mode: shortest_path_stats(run.g, mode=mode, seed=run.seed,
-                                           sample_sources=run.sample_sources)
-                 for mode in ("directed", "undirected")}
-    return {mode: stats._asdict() for mode, stats in run.paths.items()}
-
-
-def _betweenness(run: _Run) -> list:
-    return _rank_rows(top_k(betweenness(run.g), run.top))
-
 
 def _communities(run: _Run) -> dict:
     part = louvain(run.g, seed=run.seed)
     dist = community_size_distribution(part, top=run.top)
-    run.result.community_sizes = dist.sizes
+    run.community_sizes = dist.sizes
     return {"count": part.n_communities, "q": part.q, "mean_size": dist.mean,
             "top_share": dist.top_share, "sizes_top": dist.sizes[:run.top]}
 
 
-def _smallworld(run: _Run) -> dict:
-    # Without the paths stage, real_paths is None and is computed there.
-    return run.guarded(lambda: small_world_test(
-        run.g, replicates=run.replicates, seed=run.seed,
-        sample_sources=run.sample_sources, c_real=run.clustering,
-        real_paths=run.paths.get("undirected"))._asdict())
-
-
-def _powerlaw(run: _Run) -> dict:
-    return {which: run.guarded(lambda h: fit_power_law(h)._asdict(), hist)
-            for which, hist in run.result.histograms.items()}
-
-
-_STAGES = {"paths": _paths, "betweenness": _betweenness, "communities": _communities,
-           "smallworld": _smallworld, "powerlaw": _powerlaw}
-STAGES = tuple(_STAGES)
+_SKIPPABLE = {
+    "paths": lambda run: {mode: shortest_path_stats(run.g, mode=mode, seed=run.seed,
+                                                    sample_sources=run.sample_sources)
+                          for mode in ("directed", "undirected")},
+    "betweenness": lambda run: _ranked(run, betweenness(run.g)),
+    "communities": _communities,
+    # A skipped paths piece has no "undirected"; small_world_test computes it.
+    "smallworld": lambda run: run.guarded(lambda: small_world_test(
+        run.g, replicates=run.replicates, seed=run.seed, sample_sources=run.sample_sources,
+        c_real=run.pieces["clustering"],
+        real_paths=run.pieces["paths"].get("undirected"))._asdict()),
+    "powerlaw": lambda run: {which: run.guarded(lambda h: fit_power_law(h)._asdict(), hist)
+                             for which, hist in run.pieces["histograms"].items()},
+}
+STAGES = tuple(_SKIPPABLE)
+# The order decides the first EmptyGraph raised, where the analysis peaks in
+# memory, and the order of a tracer's spans.
+_TABLE = {
+    "degrees": lambda run: degrees(run.g),
+    "components": lambda run: components(run.g),
+    "histograms": lambda run: {which: degree_histogram(run.g, which=which)
+                               for which in ("total", "in", "out")},
+    "clustering": lambda run: avg_clustering(run.g),
+    **_SKIPPABLE,
+    "degree_ranking": lambda run: _ranked(run, CentralityVector(
+        "degree", list(run.g.labels), run.pieces["degrees"].total_degrees.astype(np.float64))),
+    "pagerank": lambda run: _ranked(run, pagerank(run.g)),
+}
 
 
 def analyze_graph(
@@ -125,51 +128,46 @@ def analyze_graph(
 ) -> AnalysisResult:
     """Run every analysis stage on an imported graph.
 
-    Degrees, components, clustering, PageRank and the degree histograms
-    always run; the stages of ``STAGES`` run in that order. Stages named
-    in ``skip`` are replaced by a ``{"skipped": true}`` marker.
-    Degenerate-input failures in the small-world or power-law stages are
-    recorded in place as ``{"error": ...}`` rather than aborting. Either
-    condition marks the whole report incomplete.
+    Every measure is one stage of one ordered table: degrees, components,
+    the degree histograms, clustering, the stages of ``STAGES`` in that
+    order, then the degree ranking and PageRank. Stages named in ``skip``
+    are replaced by a ``{"skipped": true}`` marker. Degenerate-input
+    failures in the small-world or power-law stages are recorded in place
+    as ``{"error": ...}`` rather than aborting. Either condition marks the
+    whole report incomplete. The sections are laid out from the pieces.
     """
     unknown = set(skip) - set(STAGES)
     if unknown:
         raise ValueError(f"unknown stages: {sorted(unknown)}")
-    deg = degrees(g)
-    comp = components(g)
-    histograms = {which: degree_histogram(g, which=which)
-                  for which in ("total", "in", "out")}
-    run = _Run(g, seed, replicates, top, sample_sources, avg_clustering(g),
-               AnalysisResult(sections={}, histograms=histograms))
-    out = {name: {"skipped": True} if name in skip else stage(run)
-           for name, stage in _STAGES.items()}
-    degree_vector = CentralityVector(
-        "degree", list(g.labels), deg.total_degrees.astype(np.float64))
-    run.result.sections = {
+    run = _Run(g, seed, replicates, top, sample_sources)
+    for name, stage in _TABLE.items():
+        run.pieces[name] = {"skipped": True} if name in skip else stage(run)
+    piece, comp, paths = run.pieces, run.pieces["components"], run.pieces["paths"]
+    return AnalysisResult({
         "summary": {
             "vertices": g.n,
             "edges": g.m,
             "kind_counts": {kind: g.kinds.count(kind) for kind in ("method", "class")},
-            "avg_degree": deg.avg_degree,
-            "clustering": run.clustering,
+            "avg_degree": piece["degrees"].avg_degree,
+            "clustering": piece["clustering"],
             "components": {
                 "count": comp.count,
                 "giant_size": comp.giant_size,
                 "giant_fraction": comp.giant_fraction,
             },
-            "paths": out["paths"],
+            "paths": paths if "paths" in skip else {
+                mode: stats._asdict() for mode, stats in paths.items()},
         },
         "rankings": {
-            "degree": _rank_rows(top_k(degree_vector, top)),
-            "betweenness": out["betweenness"],
-            "pagerank": _rank_rows(top_k(pagerank(g), top)),
+            "degree": piece["degree_ranking"],
+            "betweenness": piece["betweenness"],
+            "pagerank": piece["pagerank"],
         },
-        "communities": out["communities"],
-        "small_world": out["smallworld"],
-        "power_law": out["powerlaw"],
+        "communities": piece["communities"],
+        "small_world": piece["smallworld"],
+        "power_law": piece["powerlaw"],
         "incomplete": bool(skip) or run.incomplete,
-    }
-    return run.result
+    }, piece["histograms"], run.community_sizes)
 
 
 # -- rendering ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from jarnet import extractor
 from jarnet.cli import main
 from jarnet.gexf import export_gexf, import_gexf
 from jarnet.graph import DirectedGraph
+from jarnet.report import MEASURES
 
 from classfile_builder import ClassBuilder, default_init, make_jar
 from test_extractor import GOLDEN_SAMPLE_ROWS, oversized_entry_jar
@@ -362,6 +363,49 @@ def test_analyze_plot_data_files(sample_jar, tmp_path, capsys):
         assert (plots / name).exists()
     sizes = (plots / "community_sizes.csv").read_text(encoding="utf-8")
     assert len(sizes.strip().split("\n")) == report["communities"]["count"] + 1
+
+
+def test_analyze_plots_not_a_directory_exits_2_before_analysis(sample_jar, tmp_path,
+                                                               capsys):
+    gexf = _extract_and_build(sample_jar, tmp_path, capsys)
+    plots = tmp_path / "plots"
+    plots.write_text("a file, not a directory", encoding="utf-8")
+    out = tmp_path / "r.json"
+    code, _, stderr = run(["analyze", str(gexf), "-o", str(out),
+                           "--plots", str(plots)], capsys)
+    assert code == 2
+    assert "File exists" in stderr
+    assert not out.exists()
+
+
+def test_analyze_one_vertex_graph_reports_degenerate_stages(tmp_path, capsys):
+    g = DirectedGraph()
+    g.add_vertex("t.A")
+    gexf = tmp_path / "one.gexf"
+    export_gexf(g, gexf)
+    out = tmp_path / "r.json"
+    assert run(["analyze", str(gexf), "-o", str(out)], capsys)[0] == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["small_world"] == {
+        "error": "DegenerateGraph: small-world comparison needs >= 2 vertices"}
+    assert list(report["power_law"]) == ["total", "in", "out"]
+    assert all(fit["error"].startswith("DegenerateHistogram: ")
+               for fit in report["power_law"].values())
+    assert report["incomplete"] is True
+    for rendering in (["--format", "table"],
+                      *(["--format", "csv", "--measure", m] for m in MEASURES)):
+        code, _, stderr = run(["report", str(out), *rendering], capsys)
+        assert code == 0, (rendering, stderr)
+
+
+def test_analyze_zero_vertex_graph_exits_2(tmp_path, capsys):
+    gexf = tmp_path / "empty.gexf"
+    export_gexf(DirectedGraph(), gexf)
+    out = tmp_path / "r.json"
+    code, _, stderr = run(["analyze", str(gexf), "-o", str(out)], capsys)
+    assert code == 2
+    assert "degree statistics need at least one vertex" in stderr
+    assert not out.exists()
 
 
 def test_analyze_missing_gexf_exits_2(tmp_path, capsys):

@@ -1,34 +1,60 @@
-"""`jarnet report` renderings of frozen reports, byte-compared with recorded
-outputs.
+"""Frozen reports and their `jarnet report` renderings, byte-compared with
+what the program writes now.
 
 The reports under ``tests/data/report_*.json`` come from ``analyze --seed 3
 --top 5`` on the sample fixture (prefix ``sample``) and on
-``synthetic_jar(60, seed=7)`` (prefix ``app``): with default options, with
-every stage skipped, and with ``--sampled-paths 3``; the provenance input path
-is cut to the file name. The sample fixture's in- and out-degree fits are
+``synthetic_jar(60, seed=7)`` (prefix ``app``), each built as
+``<fixture>.gexf`` in the working directory so that the provenance input path
+is the bare file name: with default options, with every stage skipped, and
+with ``--sampled-paths 3``. The sample fixture's in- and out-degree fits are
 ``{"error": ...}`` entries. ``report_renderings.json`` holds, per report and
 rendering, the exit code, stdout and stderr. After a deliberate change to the
-renderings, re-record it with ``PYTHONPATH=src python tests/test_report_golden.py``.
+reports or the renderings, re-record both, reports first, with
+``PYTHONPATH=src python tests/test_report_golden.py``.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from jarnet.cli import main
+from jarnet.report import STAGES
+
+from classfile_builder import sample_network_jar, synthetic_jar
 
 DATA = Path(__file__).resolve().parent / "data"
-REPORTS = [f"{fixture}_{variant}" for fixture in ("sample", "medium")
-           for variant in ("full", "skipped", "sampled")]
+FIXTURES = {"sample": (sample_network_jar, "sample"),
+            "medium": (lambda: synthetic_jar(n_classes=60, seed=7), "app")}
+VARIANTS = {"full": [], "skipped": [arg for stage in STAGES for arg in ("--skip", stage)],
+            "sampled": ["--sampled-paths", "3"]}
+REPORTS = [f"{fixture}_{variant}" for fixture in FIXTURES for variant in VARIANTS]
 RENDERINGS = {"table": ["--format", "table"]}
 RENDERINGS.update({f"csv-{measure}": ["--format", "csv", "--measure", measure]
                    for measure in ("summary", "degree", "betweenness", "pagerank",
                                    "communities")})
 RECORDED = DATA / "report_renderings.json"
+
+
+def analyze_fixture(fixture: str) -> list[str]:
+    """Build ``fixture`` in the working directory and write its three reports
+    there as ``report_<fixture>_<variant>.json``; returns their file names."""
+    make_jar, prefix = FIXTURES[fixture]
+    Path(f"{fixture}.jar").write_bytes(make_jar())
+    names = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["extract", f"{fixture}.jar", "-o", f"{fixture}.csv"]) == 0
+        assert main(["build", f"{fixture}.csv", "-o", f"{fixture}.gexf",
+                     "--prefix", prefix]) == 0
+        for variant, options in VARIANTS.items():
+            names.append(f"report_{fixture}_{variant}.json")
+            assert main(["analyze", f"{fixture}.gexf", "-o", names[-1],
+                         "--seed", "3", "--top", "5", *options]) == 0
+    return names
 
 
 def render(report: str, rendering: str) -> list:
@@ -46,7 +72,18 @@ def test_rendering_matches_recorded(report, rendering):
     assert render(report, rendering) == recorded[report][rendering]
 
 
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_analyze_reproduces_recorded_reports(fixture, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in analyze_fixture(fixture):
+        assert Path(name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
+        for fixture in FIXTURES:
+            for name in analyze_fixture(fixture):
+                (DATA / name).write_bytes(Path(name).read_bytes())
     RECORDED.write_text(json.dumps(
         {report: {rendering: render(report, rendering) for rendering in RENDERINGS}
          for report in REPORTS}, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

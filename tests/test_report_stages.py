@@ -1,10 +1,12 @@
-"""The skippable analysis stages: independence, section types, traced calls."""
+"""The analysis stage table: order, skippable stages' independence, section
+types, traced calls."""
 from __future__ import annotations
 
 import itertools
 
 import pytest
 
+from jarnet import report
 from jarnet.extractor import extract_archive
 from jarnet.graph import build_graph
 from jarnet.report import STAGES, AnalysisResult, analyze_graph, write_plot_data
@@ -109,6 +111,46 @@ def test_stages_call_through_rebound_module_names(medium_graph, skip):
     assert {name: tracer.calls[name] for name in STAGE_CALLS} == expected
     assert tracer.calls["centrality.pagerank"] == 1
     assert tracer.calls["metrics.avg_clustering"] == (1 if skip else 3)
+
+
+# Every analysis function report calls, each by its module-global name.
+ANALYSIS_NAMES = ("degrees", "components", "degree_histogram", "avg_clustering",
+                  "shortest_path_stats", "betweenness", "louvain", "small_world_test",
+                  "fit_power_law", "pagerank", "top_k")
+
+
+@pytest.mark.parametrize("skip", [(), STAGES], ids=["run_all", "skip_all"])
+def test_table_runs_every_measure(medium_graph, monkeypatch, skip):
+    plain = analyze_graph(medium_graph, skip=skip, **ANALYSIS)
+    active, ran, called = [], [], set()
+
+    def recorded(name, body):
+        def stage(run):
+            active.append(name)
+            ran.append(name)
+            try:
+                return body(run)
+            finally:
+                active.pop()
+        return stage
+
+    def inside_a_stage(name, fn):
+        def call(*args, **kwargs):
+            assert active, f"{name} called outside a stage"
+            called.add(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name, body in list(report._TABLE.items()):
+        monkeypatch.setitem(report._TABLE, name, recorded(name, body))
+    for name in ANALYSIS_NAMES:
+        monkeypatch.setattr(report, name, inside_a_stage(name, getattr(report, name)))
+    result = analyze_graph(medium_graph, skip=skip, **ANALYSIS)
+    assert set(STAGES) < set(report._TABLE)
+    assert ran == [name for name in report._TABLE if name not in skip]
+    assert result.sections == plain.sections
+    if not skip:
+        assert called == set(ANALYSIS_NAMES)
 
 
 def test_power_law_fits_csv_lists_only_fitted_entries(tmp_path):
