@@ -11,7 +11,6 @@ from typing import NamedTuple
 
 from ._lazy import np
 from .errors import EmptyGraph, PartitionMismatch
-from .graph import UndirectedGraph
 
 __all__ = [
     "Partition",
@@ -22,6 +21,7 @@ __all__ = [
 ]
 
 _GAIN_EPS = 1e-12
+_RESTARTS = 5  # seeded greedy runs per louvain call; the best q wins
 
 
 class Partition(NamedTuple):
@@ -36,12 +36,20 @@ class CommunitySizeReport(NamedTuple):
     top_share: float
 
 
-def _score(proj: UndirectedGraph, assignments, resolution: float) -> float:
+def modularity(g, assignments) -> float:
+    """Q = sum over communities of e_c/m - (d_c/2m)^2; 0 for edgeless graphs."""
+    if g.n == 0:
+        raise EmptyGraph("modularity needs at least one vertex")
+    assignments = np.asarray(assignments)
+    if assignments.shape[0] != g.n:
+        raise PartitionMismatch(
+            f"partition covers {assignments.shape[0]} vertices, graph has {g.n}")
+    proj = g.undirected()
     m = proj.m
     if m == 0:
         return 0.0
     indptr, indices = proj.to_csr()
-    dense, n_comms = _renumber(np.asarray(assignments, dtype=np.int64).tolist())
+    dense, n_comms = _renumber(assignments.astype(np.int64).tolist())
     comm = np.asarray(dense, dtype=np.int64)
     rows = np.repeat(comm, np.diff(indptr))
     # A community's degree sum counts the CSR entries in its rows, and an
@@ -51,22 +59,11 @@ def _score(proj: UndirectedGraph, assignments, resolution: float) -> float:
     intra2 = np.bincount(rows[rows == comm[indices]], minlength=n_comms).tolist()
     q = 0.0
     for e2, d in zip(intra2, d_c):
-        q += e2 // 2 / m - resolution * (d / (2.0 * m)) ** 2
+        q += e2 // 2 / m - (d / (2.0 * m)) ** 2
     return q
 
 
-def modularity(g, assignments) -> float:
-    """Q = sum over communities of e_c/m - (d_c/2m)^2; 0 for edgeless graphs."""
-    if g.n == 0:
-        raise EmptyGraph("modularity needs at least one vertex")
-    assignments = np.asarray(assignments)
-    if assignments.shape[0] != g.n:
-        raise PartitionMismatch(
-            f"partition covers {assignments.shape[0]} vertices, graph has {g.n}")
-    return _score(g.undirected(), assignments, 1.0)
-
-
-def _local_move(adj, k, two_m, resolution, order, init=None):
+def _local_move(adj, k, two_m, order, init=None):
     """One Louvain phase: greedy single-vertex moves until stable.
 
     adj: per-vertex dict neighbor -> weight (no self entries).
@@ -90,9 +87,9 @@ def _local_move(adj, k, two_m, resolution, order, init=None):
                 w_to[cj] = w_to.get(cj, 0.0) + w
             tot[ci] -= k[i]
             best_c = ci
-            best_gain = w_to.pop(ci, 0.0) - resolution * tot[ci] * k[i] / two_m
+            best_gain = w_to.pop(ci, 0.0) - tot[ci] * k[i] / two_m
             for c, w in w_to.items():
-                gain = w - resolution * tot[c] * k[i] / two_m
+                gain = w - tot[c] * k[i] / two_m
                 if gain > best_gain + _GAIN_EPS:
                     best_gain = gain
                     best_c = c
@@ -139,7 +136,7 @@ _EXACT_LIMIT = 8  # Bell(8) = 4140 candidate partitions: enumerating them
                   # instead of a greedy approximation.
 
 
-def _exact_partition(adj, k, two_m, resolution):
+def _exact_partition(adj, k, two_m):
     """Optimal partition of a tiny graph by enumerating restricted-growth
     strings. Greedy single-vertex moves provably miss some optima on rugged
     landscapes this small, so below `_EXACT_LIMIT` we search outright.
@@ -155,7 +152,7 @@ def _exact_partition(adj, k, two_m, resolution):
     def rec(i, used, intra, sumsq):
         nonlocal best_q, best
         if i == n:
-            q = intra / m - resolution * sumsq / (two_m * two_m)
+            q = intra / m - sumsq / (two_m * two_m)
             if q > best_q:
                 best_q = q
                 best = comm.copy()
@@ -183,7 +180,7 @@ def _exact_partition(adj, k, two_m, resolution):
     return best
 
 
-def _one_run(adj0, k0, two_m, resolution, rng):
+def _one_run(adj0, k0, two_m, rng):
     """Full greedy pipeline from level-0 strengths ``k0``: move/aggregate
     levels, then a vertex-level refinement sweep from the coarse result."""
     n0 = len(adj0)
@@ -192,7 +189,7 @@ def _one_run(adj0, k0, two_m, resolution, rng):
     while True:
         order = list(range(len(adj)))
         rng.shuffle(order)
-        comm, moved = _local_move(adj, k, two_m, resolution, order)
+        comm, moved = _local_move(adj, k, two_m, order)
         dense, n_comms = _renumber(comm)
         if not moved or n_comms == len(adj):
             break
@@ -200,22 +197,19 @@ def _one_run(adj0, k0, two_m, resolution, rng):
         adj, k = _aggregate(adj, k, dense, n_comms)
     order = list(range(n0))
     rng.shuffle(order)
-    return _local_move(adj0, k0, two_m, resolution, order, init=membership)[0]
+    return _local_move(adj0, k0, two_m, order, init=membership)[0]
 
 
-def louvain(g, resolution: float = 1.0, seed: int = 0, restarts: int = 5) -> Partition:
+def louvain(g, seed: int = 0) -> Partition:
     """Greedy modularity optimization with seeded vertex orders.
 
-    Runs ``restarts`` independent pipelines (sub-seeded from ``seed``) and
-    keeps the one whose resolution-scaled objective is highest. Graphs with
-    at most ``_EXACT_LIMIT`` vertices skip the heuristic and are solved
-    exactly by enumeration. The reported q always comes from
-    :func:`modularity` at resolution 1, whatever resolution guided the moves.
+    Runs ``_RESTARTS`` independent pipelines (sub-seeded from ``seed``) and
+    keeps the one with the highest :func:`modularity`, the q it reports.
+    Graphs with at most ``_EXACT_LIMIT`` vertices skip the heuristic and are
+    solved exactly by enumeration.
     """
     if g.n == 0:
         raise EmptyGraph("community detection needs at least one vertex")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     proj = g.undirected()
     n = proj.n
     indptr, indices = proj.to_csr()
@@ -227,14 +221,14 @@ def louvain(g, resolution: float = 1.0, seed: int = 0, restarts: int = 5) -> Par
     two_m = 2.0 * proj.m
     best: list[int] = list(range(n))
     if two_m > 0 and n <= _EXACT_LIMIT:
-        best = _exact_partition(adj0, k0, two_m, resolution)
+        best = _exact_partition(adj0, k0, two_m)
     elif two_m > 0:
         master = random.Random(seed)
         best_obj = -math.inf
-        for _ in range(restarts):
+        for _ in range(_RESTARTS):
             rng = random.Random(master.randrange(2**63))
-            membership = _one_run(adj0, k0, two_m, resolution, rng)
-            obj = _score(proj, membership, resolution)
+            membership = _one_run(adj0, k0, two_m, rng)
+            obj = modularity(proj, membership)
             if obj > best_obj:
                 best_obj = obj
                 best = membership

@@ -84,15 +84,9 @@ _SITE_OF = {
 _SITES = [_SITE_OF.get(op) for op in range(256)]  # indexed by opcode
 
 
-def classify_callee(opcode: int, method_name: str,
-                    target_is_interface: bool = False) -> UnitKind:
-    """Map an invoke opcode to the callee kind.
-
-    The interface flag mirrors whether the call site resolved an interface
-    method ref; classification itself keys on the opcode (interface
-    dispatch has its own opcode) plus the constructor name for special
-    dispatch.
-    """
+def classify_callee(opcode: int, method_name: str) -> UnitKind:
+    """Map an invoke opcode to the callee kind: the opcode decides (interface
+    dispatch has its own), plus the constructor name for special dispatch."""
     if opcode == OP_INVOKEVIRTUAL:
         return UnitKind.METHOD
     if opcode == OP_INVOKESPECIAL:
@@ -182,11 +176,11 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
                     if ref is None:
                         unresolved_sites += 1
                         continue
-                    cls, name, desc, is_iface = ref
+                    cls, name, desc, _ = ref
                     if caller is None:
                         caller = QualifiedName.from_internal(unit.name, method.name,
                                                              method.descriptor)
-                    kind = classify_callee(op, name, is_iface)
+                    kind = classify_callee(op, name)
                     callee = QualifiedName.from_internal(cls, name, desc)
                     records.append(CallRecord(UnitKind.METHOD, caller, kind, callee))
                 elif site == _DYNAMIC:

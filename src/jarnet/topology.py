@@ -123,11 +123,14 @@ def small_world_test(
     ``c_real`` and ``real_paths`` take the real graph's clustering and
     undirected path statistics when the caller has them already; they
     must come from the same ``sample_sources`` and ``seed``. Missing
-    values are computed here.
+    values are computed here. A graph with fewer than 2 vertices, or with
+    no edge but self-loops, raises ``DegenerateGraph``.
     """
     proj = g.undirected()
     if proj.n < 2:
         raise DegenerateGraph("small-world comparison needs >= 2 vertices")
+    if proj.m == 0:
+        raise DegenerateGraph("small-world comparison needs at least one edge")
     p = link_probability(proj.m, proj.n)
     if c_real is None:
         c_real = avg_clustering(proj)

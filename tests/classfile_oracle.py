@@ -362,11 +362,11 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
                     stats.call_sites += 1
                     index = struct.unpack(">H", operands[:2])[0]
                     try:
-                        cls, name, desc, is_iface = pool.method_ref(index)
+                        cls, name, desc, _ = pool.method_ref(index)
                     except MalformedConstantPool:
                         stats.unresolved_sites += 1
                         continue
-                    kind = classify_callee(op, name, is_iface)
+                    kind = classify_callee(op, name)
                     callee = QualifiedName.from_internal(cls, name, desc)
                     records.append(CallRecord(UnitKind.METHOD, caller, kind, callee))
                 elif op == OP_INVOKEDYNAMIC:

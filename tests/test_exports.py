@@ -1,5 +1,6 @@
 """Every name that ``jarnet`` or one of its modules lists in ``__all__`` is
-bound there, so ``from jarnet import *`` cannot fail on a deleted name."""
+bound there, so ``from jarnet import *`` cannot fail on a deleted name; and
+every function of the package reads the parameters it takes."""
 from __future__ import annotations
 
 import ast
@@ -70,3 +71,39 @@ def test_no_module_imports_another_modules_private_name():
                 found += [f"{path.name}: {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+# Parameters a caller must pass for the interface's sake: both graph classes
+# answer ``to_csr(reverse=...)``, and the benchmark's tracer wraps both.
+UNREAD_ALLOWED = {"graph.py: UndirectedGraph.to_csr(reverse)"}
+
+
+def _unread_parameters(tree: ast.Module, filename: str) -> list[str]:
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", "<lambda>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{filename}: {prefix}{name}({param})" for param in params
+                             if not param.startswith("_") and param not in read)
+            visit(child, f"{prefix}{name}." if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) else prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_parameter_is_read():
+    # A parameter the body never reads is an option that does nothing;
+    # name it with a leading ``_`` where a caller's signature demands it.
+    found = []
+    for path in sorted(Path(jarnet.__path__[0]).glob("*.py")):
+        found += _unread_parameters(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert set(found) == UNREAD_ALLOWED

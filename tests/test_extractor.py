@@ -285,13 +285,13 @@ def test_entry_over_size_cap_strict_and_tolerant(tmp_path, monkeypatch):
 
 
 def test_classify_callee_contract():
-    assert classify_callee(0xB6, "anything", False) is UnitKind.METHOD
-    assert classify_callee(0xB7, "<init>", False) is UnitKind.CONSTRUCTOR
-    assert classify_callee(0xB7, "other", False) is UnitKind.METHOD
-    assert classify_callee(0xB8, "x", True) is UnitKind.STATIC
-    assert classify_callee(0xB9, "x", True) is UnitKind.INTERFACE
+    assert classify_callee(0xB6, "anything") is UnitKind.METHOD
+    assert classify_callee(0xB7, "<init>") is UnitKind.CONSTRUCTOR
+    assert classify_callee(0xB7, "other") is UnitKind.METHOD
+    assert classify_callee(0xB8, "x") is UnitKind.STATIC
+    assert classify_callee(0xB9, "x") is UnitKind.INTERFACE
     with pytest.raises(UnknownOpcode):
-        classify_callee(0x00, "nop", False)
+        classify_callee(0x00, "nop")
 
 
 def test_descriptor_rendering_mode(sample_jar, tmp_path):

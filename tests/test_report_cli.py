@@ -398,6 +398,22 @@ def test_analyze_one_vertex_graph_reports_degenerate_stages(tmp_path, capsys):
         assert code == 0, (rendering, stderr)
 
 
+@pytest.mark.parametrize("paths", [[], ["--sampled-paths", "1"]])
+def test_analyze_edgeless_graph_reports_degenerate_small_world(tmp_path, capsys, paths):
+    gexf = tmp_path / "edgeless.gexf"
+    gexf.write_text("""<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">
+  <graph defaultedgetype="directed">
+    <nodes><node id="0" label="t.A"/><node id="1" label="t.B"/></nodes>
+  </graph>
+</gexf>""", encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["analyze", str(gexf), "-o", str(out), *paths], capsys)[0] == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["small_world"] == {
+        "error": "DegenerateGraph: small-world comparison needs at least one edge"}
+    assert report["incomplete"] is True
+
+
 def test_analyze_zero_vertex_graph_exits_2(tmp_path, capsys):
     gexf = tmp_path / "empty.gexf"
     export_gexf(DirectedGraph(), gexf)

@@ -152,6 +152,10 @@ def test_small_world_zero_baseline_clustering_satisfied_by_any_positive():
 def test_small_world_degenerate():
     with pytest.raises(DegenerateGraph):
         small_world_test(digraph([], n_hint=1))
+    # self-loops are not edges of the projection
+    for g in (digraph([], n_hint=2), digraph([(0, 0), (1, 1)], n_hint=3)):
+        with pytest.raises(DegenerateGraph, match="at least one edge"):
+            small_world_test(g)
 
 
 # -- histograms --------------------------------------------------------------------
