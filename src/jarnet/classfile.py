@@ -70,10 +70,9 @@ class ConstantPool(NamedTuple):
     slot after a Long or Double holds none. Each other table maps the
     indices of one kind of entry to its resolved value: ``utf8s`` to
     text, ``classes`` to an internal class name, ``nats`` to ``(name,
-    descriptor)``, ``field_refs`` to ``(class, name, descriptor)`` and
-    ``method_refs`` (Methodref and InterfaceMethodref) to ``(class, name,
-    descriptor, is_interface)``. ``class_name`` raises MalformedConstantPool
-    for an index that does not hold a Class entry.
+    descriptor)``, and ``field_refs`` and ``method_refs`` (Methodref and
+    InterfaceMethodref) to ``(class, name, descriptor)``. ``class_name`` raises
+    MalformedConstantPool for an index that does not hold a Class entry.
     """
 
     tags: dict[int, int]
@@ -81,7 +80,7 @@ class ConstantPool(NamedTuple):
     classes: dict[int, str]
     nats: dict[int, tuple[str, str]]
     field_refs: dict[int, tuple[str, str, str]]
-    method_refs: dict[int, tuple[str, str, str, bool]]
+    method_refs: dict[int, tuple[str, str, str]]
 
     def class_name(self, index: int) -> str:
         name = self.classes.get(index)
@@ -199,7 +198,7 @@ def _read_pool(data: bytes, entry: str) -> tuple[ConstantPool, int]:
             raise _bad_index(tags, name_index if name is None else desc_index, "Utf8")
         nats[index] = (name, desc)
     field_refs: dict[int, tuple[str, str, str]] = {}
-    method_refs: dict[int, tuple[str, str, str, bool]] = {}
+    method_refs: dict[int, tuple[str, str, str]] = {}
     for index, tag, class_index, nat_index in ref_slots:
         cls = classes.get(class_index)
         if cls is None:
@@ -207,10 +206,7 @@ def _read_pool(data: bytes, entry: str) -> tuple[ConstantPool, int]:
         nat = nats.get(nat_index)
         if nat is None:
             raise _bad_index(tags, nat_index, "NameAndType")
-        if tag == TAG_FIELDREF:
-            field_refs[index] = (cls, *nat)
-        else:
-            method_refs[index] = (cls, *nat, tag == TAG_IMETHODREF)
+        (field_refs if tag == TAG_FIELDREF else method_refs)[index] = (cls, *nat)
     for table, uses, what in ((utf8s, utf8_uses, "Utf8"), (nats, nat_uses, "NameAndType"),
                               (tags, entry_uses, "an entry")):
         for used in uses:

@@ -176,7 +176,7 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
                     if ref is None:
                         unresolved_sites += 1
                         continue
-                    cls, name, desc, _ = ref
+                    cls, name, desc = ref
                     if caller is None:
                         caller = QualifiedName.from_internal(unit.name, method.name,
                                                              method.descriptor)

@@ -10,6 +10,7 @@ import contextlib
 import csv
 import io
 import os
+from typing import NamedTuple
 
 from ._lazy import np
 from .centrality import CentralityVector, betweenness, pagerank, top_k
@@ -31,12 +32,10 @@ __all__ = [
 ]
 
 
-class AnalysisResult:
-    def __init__(self, sections: dict, histograms: dict[str, DegreeHistogram] | None = None,
-                 community_sizes: list[int] | None = None):
-        self.sections = sections
-        self.histograms = {} if histograms is None else histograms
-        self.community_sizes = community_sizes
+class AnalysisResult(NamedTuple):
+    sections: dict
+    histograms: dict[str, DegreeHistogram] = {}  # never written: shared safely
+    community_sizes: list[int] | None = None
 
 
 def sha256_file(path) -> str:
@@ -54,51 +53,44 @@ def _ranked(run: _Run, vector: CentralityVector) -> list[dict]:
             for i, (label, score) in enumerate(top_k(vector, run.top), start=1)]
 
 
-class _Run:
-    """The options of one analysis, the pieces its stages have returned, and
-    the community sizes that only ``write_plot_data`` reads."""
+class _Run(NamedTuple):
+    """The options of one analysis and the pieces its stages have returned."""
 
-    def __init__(self, g: DirectedGraph, seed: int, replicates: int, top: int,
-                 sample_sources: int | None):
-        self.g, self.seed, self.replicates, self.top = g, seed, replicates, top
-        self.sample_sources, self.community_sizes = sample_sources, None
-        self.pieces: dict = {}
-        self.incomplete = False
+    g: DirectedGraph
+    seed: int
+    replicates: int
+    top: int
+    sample_sources: int | None
+    pieces: dict
 
-    def guarded(self, fn, *args):
-        """``fn(*args)``, or an error section that marks the report incomplete."""
-        try:
-            return fn(*args)
-        except (DegenerateGraph, DegenerateHistogram) as exc:
-            self.incomplete = True
-            return {"error": f"{type(exc).__name__}: {exc}"}
+
+def _guarded(fn, *args):
+    """``fn(*args)``, or the error section of a degenerate input."""
+    try:
+        return fn(*args)
+    except (DegenerateGraph, DegenerateHistogram) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 # Every measure is a stage: a body that takes the run and returns its piece
 # of the report, reading an earlier stage's result as that stage's piece.
+# The piece is a stage's only output: the report's ``incomplete`` and the
+# plot data's community sizes are read from the pieces after the last stage.
 # Bodies call the analysis functions by module-global name, so a wrapper
 # rebound on this module (as the benchmark's tracer does) sees the call.
-
-def _communities(run: _Run) -> dict:
-    part = louvain(run.g, seed=run.seed)
-    dist = community_size_distribution(part, top=run.top)
-    run.community_sizes = dist.sizes
-    return {"count": part.n_communities, "q": part.q, "mean_size": dist.mean,
-            "top_share": dist.top_share, "sizes_top": dist.sizes[:run.top]}
-
-
 _SKIPPABLE = {
     "paths": lambda run: {mode: shortest_path_stats(run.g, mode=mode, seed=run.seed,
                                                     sample_sources=run.sample_sources)
                           for mode in ("directed", "undirected")},
     "betweenness": lambda run: _ranked(run, betweenness(run.g)),
-    "communities": _communities,
+    "communities": lambda run: (part := louvain(run.g, seed=run.seed),
+                                community_size_distribution(part, top=run.top)),
     # A skipped paths piece has no "undirected"; small_world_test computes it.
-    "smallworld": lambda run: run.guarded(lambda: small_world_test(
+    "smallworld": lambda run: _guarded(lambda: small_world_test(
         run.g, replicates=run.replicates, seed=run.seed, sample_sources=run.sample_sources,
         c_real=run.pieces["clustering"],
         real_paths=run.pieces["paths"].get("undirected"))._asdict()),
-    "powerlaw": lambda run: {which: run.guarded(lambda h: fit_power_law(h)._asdict(), hist)
+    "powerlaw": lambda run: {which: _guarded(lambda h: fit_power_law(h)._asdict(), hist)
                              for which, hist in run.pieces["histograms"].items()},
 }
 STAGES = tuple(_SKIPPABLE)
@@ -134,15 +126,23 @@ def analyze_graph(
     are replaced by a ``{"skipped": true}`` marker. Degenerate-input
     failures in the small-world or power-law stages are recorded in place
     as ``{"error": ...}`` rather than aborting. Either condition marks the
-    whole report incomplete. The sections are laid out from the pieces.
+    whole report incomplete. A stage's piece is its only output: the
+    sections, ``incomplete`` and the plot data's community sizes are read
+    from the pieces after the last stage.
     """
     unknown = set(skip) - set(STAGES)
     if unknown:
         raise ValueError(f"unknown stages: {sorted(unknown)}")
-    run = _Run(g, seed, replicates, top, sample_sources)
+    run = _Run(g, seed, replicates, top, sample_sources, {})
     for name, stage in _TABLE.items():
         run.pieces[name] = {"skipped": True} if name in skip else stage(run)
     piece, comp, paths = run.pieces, run.pieces["components"], run.pieces["paths"]
+    communities, sizes = piece["communities"], None
+    if "communities" not in skip:
+        part, dist = communities
+        sizes = dist.sizes
+        communities = {"count": part.n_communities, "q": part.q, "mean_size": dist.mean,
+                       "top_share": dist.top_share, "sizes_top": sizes[:top]}
     return AnalysisResult({
         "summary": {
             "vertices": g.n,
@@ -163,11 +163,12 @@ def analyze_graph(
             "betweenness": piece["betweenness"],
             "pagerank": piece["pagerank"],
         },
-        "communities": piece["communities"],
+        "communities": communities,
         "small_world": piece["smallworld"],
         "power_law": piece["powerlaw"],
-        "incomplete": bool(skip) or run.incomplete,
-    }, piece["histograms"], run.community_sizes)
+        "incomplete": bool(skip) or "error" in piece["smallworld"]
+        or any("error" in fit for fit in piece["powerlaw"].values()),
+    }, piece["histograms"], sizes)
 
 
 # -- rendering ------------------------------------------------------------------

@@ -167,13 +167,13 @@ class ConstantPool:
             raise MalformedConstantPool(f"constant {index} is not NameAndType")
         return self.utf8(payload[0]), self.utf8(payload[1])
 
-    def method_ref(self, index: int) -> tuple[str, str, str, bool]:
-        """Returns (class internal name, method name, descriptor, is_interface)."""
+    def method_ref(self, index: int) -> tuple[str, str, str]:
+        """Returns (class internal name, method name, descriptor)."""
         tag, payload = self._entry(index)
         if tag not in (TAG_METHODREF, TAG_IMETHODREF):
             raise MalformedConstantPool(f"constant {index} is not a method ref")
         name, desc = self.name_and_type(payload[1])
-        return self.class_name(payload[0]), name, desc, tag == TAG_IMETHODREF
+        return self.class_name(payload[0]), name, desc
 
     def field_ref(self, index: int) -> tuple[str, str, str]:
         tag, payload = self._entry(index)
@@ -362,7 +362,7 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
                     stats.call_sites += 1
                     index = struct.unpack(">H", operands[:2])[0]
                     try:
-                        cls, name, desc, _ = pool.method_ref(index)
+                        cls, name, desc = pool.method_ref(index)
                     except MalformedConstantPool:
                         stats.unresolved_sites += 1
                         continue

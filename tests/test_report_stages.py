@@ -3,12 +3,14 @@ types, traced calls."""
 from __future__ import annotations
 
 import itertools
+import json
+import pickle
 
 import pytest
 
 from jarnet import report
 from jarnet.extractor import extract_archive
-from jarnet.graph import build_graph
+from jarnet.graph import DirectedGraph, build_graph
 from jarnet.report import STAGES, AnalysisResult, analyze_graph, write_plot_data
 
 from test_bench_contract import load_tracing
@@ -87,6 +89,37 @@ def test_skipping_leaves_other_sections_alone(medium_graph):
         assert sections["incomplete"] is True
         assert result.community_sizes == (
             None if "communities" in skip else full.community_sizes), skip
+
+
+def in_a_worker(body):
+    """``body`` as a worker process would run it: on a pickled copy of the
+    run, handing back a pickled copy of its piece, so that a write to the
+    run is lost and only the piece comes back."""
+    def stage(run):
+        return pickle.loads(pickle.dumps(body(pickle.loads(pickle.dumps(run)))))
+    return stage
+
+
+def edgeless_pair() -> DirectedGraph:
+    """Two vertices, no edge: the small-world and power-law stages return
+    error sections, which mark the report incomplete."""
+    g = DirectedGraph()
+    for label in "ab":
+        g.add_vertex(label)
+    return g
+
+
+@pytest.mark.parametrize("skip", [(), ("paths",), STAGES],
+                         ids=["run_all", "skip_paths", "skip_all"])
+@pytest.mark.parametrize("graph", ["medium", "edgeless"])
+def test_pieces_are_the_only_stage_output(medium_graph, monkeypatch, graph, skip):
+    g = medium_graph if graph == "medium" else edgeless_pair()
+    plain = analyze_graph(g, skip=skip, **ANALYSIS)
+    for name, body in list(report._TABLE.items()):
+        monkeypatch.setitem(report._TABLE, name, in_a_worker(body))
+    result = analyze_graph(g, skip=skip, **ANALYSIS)
+    assert json.dumps(result.sections) == json.dumps(plain.sections)
+    assert result.community_sizes == plain.community_sizes
 
 
 STAGE_CALLS = {

@@ -1,6 +1,6 @@
-"""Record and result types are immutable named tuples; the four mutated types
-(ExtractStats, RelationTable, AnalysisResult, the report's run state) are
-plain classes."""
+"""Record and result types are immutable named tuples, the report's result
+and run state among them; the two mutated types (ExtractStats,
+RelationTable) are plain classes."""
 from __future__ import annotations
 
 import pytest
@@ -28,10 +28,12 @@ from jarnet import (
 )
 from jarnet.classfile import ConstantPool
 from jarnet.errors import MalformedRecord
+from jarnet.report import AnalysisResult, _Run
 
 VALUE_TYPES = [QualifiedName, CallRecord, ConstantPool, MethodInfo, ClassUnit,
                DegreeReport, PathStats, ComponentReport, CentralityVector, Partition,
-               CommunitySizeReport, SmallWorldReport, DegreeHistogram, PowerLawFit]
+               CommunitySizeReport, SmallWorldReport, DegreeHistogram, PowerLawFit,
+               AnalysisResult, _Run]
 
 NAME = QualifiedName.parse("a.B::m")
 
@@ -45,7 +47,7 @@ def instance(cls):
 def test_every_public_tuple_type_is_listed():
     public = {getattr(jarnet, name) for name in jarnet.__all__}
     assert {t for t in public if isinstance(t, type) and issubclass(t, tuple)} \
-        == set(VALUE_TYPES) - {ConstantPool}
+        == set(VALUE_TYPES) - {ConstantPool, AnalysisResult, _Run}
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
