@@ -1,9 +1,10 @@
 """Graph serialization: GEXF 1.2 export and import.
 
 The exporter writes a fixed, deterministic layout (nodes by id, edges
-sorted by endpoints). The importer accepts any GEXF with node/edge
-elements, resolving the "kind" node attribute when declared and deriving
-it from the label separator otherwise.
+sorted by endpoints). The importer reads that layout line by line, without
+an XML parser, and any other GEXF with node/edge elements through expat,
+resolving the "kind" node attribute when declared and deriving it from the
+label separator otherwise.
 """
 from __future__ import annotations
 
@@ -49,31 +50,71 @@ def _check_xml_chars(g: DirectedGraph, path) -> None:
                                   f"{bad.group()!r}, which XML 1.0 cannot carry")
 
 
+# The layout export_gexf writes, line by line; _read_layout reads it back.
+_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n',
+         f'<gexf xmlns="{_NS}" version="1.2">\n',
+         '  <graph mode="static" defaultedgetype="directed">\n',
+         '    <attributes class="node">\n',
+         '      <attribute id="0" title="kind" type="string"/>\n',
+         '    </attributes>\n',
+         '    <nodes>\n')
+_ATTVALUES = '        <attvalues>\n'
+_NODE_END = ('        </attvalues>\n', '      </node>\n')
+_MIDDLE = ('    </nodes>\n', '    <edges>\n')
+_TAIL = ('    </edges>\n', '  </graph>\n', '</gexf>\n')
+# Compiled at first use. Text that expat reads as it stands: no CR, LF, tab,
+# &, <, quote or character XML 1.0 cannot carry. Ids have no leading zero.
+_TEXT = '"([^\x00-\x1f"&<\ud800-\udfff\ufffe\uffff]*)"'
+_NODE = f'      <node id="([0-9]+)" label={_TEXT}>\n'
+_KIND = f'          <attvalue for="0" value={_TEXT}/>\n'
+_EDGE = '      <edge id="[0-9]+" source="(0|[1-9][0-9]{0,9})" target="(0|[1-9][0-9]{0,9})"/>\n'
+
+
 def export_gexf(g: DirectedGraph, path) -> None:
     """Write ``g`` as GEXF; a label or kind that XML 1.0 cannot carry
     raises GexfSchemaError before the file is opened."""
     _check_xml_chars(g, path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-        fh.write(f'<gexf xmlns="{_NS}" version="1.2">\n')
-        fh.write('  <graph mode="static" defaultedgetype="directed">\n')
-        fh.write('    <attributes class="node">\n')
-        fh.write('      <attribute id="0" title="kind" type="string"/>\n')
-        fh.write('    </attributes>\n')
-        fh.write('    <nodes>\n')
+        fh.writelines(_HEAD)
         for vid, (label, kind) in enumerate(zip(g.labels, g.kinds)):
-            fh.write(f'      <node id="{vid}" label={_quoteattr(label)}>\n'
-                     '        <attvalues>\n'
+            fh.write(f'      <node id="{vid}" label={_quoteattr(label)}>\n{_ATTVALUES}'
                      f'          <attvalue for="0" value={_quoteattr(kind)}/>\n'
-                     '        </attvalues>\n'
-                     '      </node>\n')
-        fh.write('    </nodes>\n')
-        fh.write('    <edges>\n')
+                     f'{_NODE_END[0]}{_NODE_END[1]}')
+        fh.writelines(_MIDDLE)
         for eid, (src, dst) in enumerate(g.edges()):
             fh.write(f'      <edge id="{eid}" source="{src}" target="{dst}"/>\n')
-        fh.write('    </edges>\n')
-        fh.write('  </graph>\n')
-        fh.write('</gexf>\n')
+        fh.writelines(_TAIL)
+
+
+def _read_layout(path) -> DirectedGraph | None:
+    """A file in export_gexf's layout, read line by line; None once a line leaves it."""
+    g, kinds = DirectedGraph(), {}  # kind value -> the one string kept for it
+    node_at, kind_at, edge_at = (re.compile(p).fullmatch for p in (_NODE, _KIND, _EDGE))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            line = fh.readline
+            if any(line() != text for text in _HEAD):
+                return None
+            while (row := line()) != _MIDDLE[0]:
+                node, vid = node_at(row), len(g.labels)
+                if (node is None or node[1] != str(vid) or line() != _ATTVALUES
+                        or (kind := kind_at(line())) is None
+                        or line() != _NODE_END[0] or line() != _NODE_END[1]
+                        or g.add_vertex(node[2]) != vid):
+                    return None
+                g.kinds[vid] = kinds.setdefault(kind[1], kind[1])
+            if line() != _MIDDLE[1]:
+                return None
+            while (row := line()) != _TAIL[0]:
+                edge = edge_at(row)
+                if edge is None:
+                    return None
+                g.add_edge(int(edge[1]), int(edge[2]))  # IndexError: not below n
+            if any(line() != text for text in _TAIL[1:]) or line():
+                return None
+    except (UnicodeDecodeError, IndexError):
+        return None
+    return g
 
 
 # The local name of each element import_gexf takes, mapped to the local name
@@ -88,7 +129,7 @@ _PARENT = {"edge": "edges", "attvalue": "attvalues", "node": "nodes",
 
 
 def import_gexf(path) -> DirectedGraph:
-    """Read a GEXF file into a graph, building it while expat parses.
+    """Read a GEXF file into a graph; expat parses a file outside export_gexf's layout.
 
     Node ids map to vertices in document order; a node without a label is
     labelled by its id. Its kind is the value of the ``kind`` node
@@ -96,6 +137,9 @@ def import_gexf(path) -> DirectedGraph:
     graph, and is derived from the label otherwise. Undirected edges add
     both directions. Malformed XML is reported even after a bad node.
     """
+    g = _read_layout(path)
+    if g is not None:
+        return g
     g = DirectedGraph()
     stack = [""]  # local name of each open element that counts, else False
     first = {}    # local name -> attributes of the counted <gexf>, <graph>, ...

@@ -198,6 +198,12 @@ def build_graph(table: RelationTable, package_prefix: str = "",
             add(ours[0], callee_label)
         else:
             add(callee_class_label, callee_label)
+    # A class name may hold "::" (JVMS 4.2.1), which add_vertex takes for a method.
+    odd = {qn for qn, labels in seen.items() if labels and METHOD_SEP in labels[1]}
+    for caller_kind, caller, _, callee in table.records if odd else ():
+        for qn in (caller, callee) if caller_kind is UnitKind.CLASS else (callee,):
+            if qn in odd and seen[caller] and seen[callee]:
+                g.kinds[g.add_vertex(seen[qn][1])] = "class"
     return g
 
 

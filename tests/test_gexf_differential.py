@@ -4,16 +4,23 @@
 hand-written layouts both must give equal labels, kinds and edges. On
 seeded byte mutations and truncations the new importer must accept exactly
 the files the oracle accepts, with equal output, and reject the rest with a
-GexfSchemaError and nothing else.
+GexfSchemaError and nothing else. The line reader of export_gexf's own
+layout must be the path taken for exported files, give the expat path's
+graph, and leave near-layout and mutated files with the oracle's outcome.
 """
 from __future__ import annotations
 
 import random
+from pathlib import Path
+from tempfile import TemporaryDirectory
+from unittest.mock import Mock
 
+import numpy as np
 import pytest
 
 import gexf_oracle as oracle
 from classfile_builder import synthetic_jar
+from jarnet import gexf
 from jarnet.errors import GexfSchemaError
 from jarnet.extractor import extract_archive
 from jarnet.gexf import export_gexf, import_gexf
@@ -225,3 +232,108 @@ def test_fuzzed_files_accepted_and_imported_exactly_as_the_oracle_does(tmp_path)
         assert ours == oracle_outcome(path), (trial, data)
         verdicts[ours[0]] += 1
     assert min(verdicts.values()) > 300, verdicts
+
+
+# -- the line reader of export_gexf's own layout ---------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden_sample_graph.gexf"
+
+
+@pytest.fixture
+def reader_results(monkeypatch):
+    """Each graph, or None, that the line reader returned, in call order."""
+    results, read_layout = [], gexf._read_layout
+
+    def counted(path):
+        results.append(read_layout(path))
+        return results[-1]
+
+    monkeypatch.setattr(gexf, "_read_layout", counted)
+    return results
+
+
+def test_reader_is_taken_for_exported_files(tmp_path, monkeypatch):
+    jar = tmp_path / "app.jar"
+    jar.write_bytes(synthetic_jar(n_classes=60, seed=7))
+    synthetic = tmp_path / "synthetic.gexf"
+    export_gexf(build_graph(extract_archive(jar), package_prefix="app"), synthetic)
+    for path in (synthetic, GOLDEN):
+        with monkeypatch.context() as patch:
+            patch.setattr(gexf, "_read_layout", lambda _path: None)
+            parsed = import_gexf(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(gexf.expat, "ParserCreate", Mock(side_effect=AssertionError))
+            read = import_gexf(path)
+        assert read.add_vertex(read.labels[0]) == 0  # not frozen
+        assert (read.labels, read.kinds) == (parsed.labels, parsed.kinds)
+        for reverse in (False, True):
+            for ours, theirs in zip(read.to_csr(reverse), parsed.to_csr(reverse)):
+                assert np.array_equal(ours, theirs)
+
+
+def test_fuzzed_exported_files_read_as_the_oracle_does(tmp_path, reader_results):
+    data, rng = GOLDEN.read_bytes(), random.Random(99)
+    path = tmp_path / "fuzz.gexf"
+    for trial in range(1500):
+        mutated = mutate(data, rng)
+        path.write_bytes(mutated)
+        assert new_outcome(path) == oracle_outcome(path), (trial, mutated)
+    taken = sum(g is not None for g in reader_results)
+    assert 0 < taken < len(reader_results) == 1500, taken
+
+
+def near_layout_base() -> str:
+    g = DirectedGraph()
+    for a, b in (("p.A::f", "p.A"), ("p.A", "q.B"), ("q.B", "p.A::f")):
+        g.add_edge_labels(a, b)
+    return exported_text(g)
+
+
+def exported_text(g: DirectedGraph) -> str:
+    with TemporaryDirectory() as tmp:
+        export_gexf(g, Path(tmp) / "g.gexf")
+        return (Path(tmp) / "g.gexf").read_text(encoding="utf-8")
+
+
+def isolated(*labels: str) -> DirectedGraph:
+    g = DirectedGraph()
+    for label in labels:
+        g.add_vertex(label)
+    return g
+
+
+LONG_ID = "9" * 5000
+NODE_BLOCK_END = "      </node>\n"
+# name -> (file text from the base layout, whether the line reader takes it)
+NEAR_LAYOUT = {
+    "crlf": (lambda t: t.replace("\n", "\r\n"), False),
+    "bom": (lambda t: "\ufeff" + t, False),
+    "amp_label": (lambda t: t.replace('label="q.B"', 'label="q&amp;B"'), False),
+    "gt_label": (lambda t: t.replace('label="q.B"', 'label="q>B"'), True),
+    "control_char_label": (lambda t: t.replace('label="q.B"', 'label="q\x01B"'), False),
+    "noncharacter_kind": (lambda t: t.replace('value="class"', 'value="\uffff"'), False),
+    "tab_label": (lambda t: t.replace('label="q.B"', 'label="q\tB"'), False),
+    "duplicate_labels": (
+        lambda t: exported_text(isolated("p.A", "q.B")).replace('"q.B"', '"p.A"'), False),
+    "endpoint_equal_to_n": (lambda t: t.replace('target="0"', 'target="3"'), False),
+    "long_node_id_and_endpoint": (
+        lambda t: t.replace('id="2"', f'id="{LONG_ID}"').replace('="2"', f'="{LONG_ID}"'),
+        False),
+    "long_source": (lambda t: t.replace('source="2"', f'source="{LONG_ID}"'), False),
+    "long_target": (lambda t: t.replace('target="0"', f'target="{LONG_ID}"'), False),
+    "leading_zero_endpoint": (lambda t: t.replace('target="0"', 'target="00"'), False),
+    "whitespace_after_root": (lambda t: t + " \n", False),
+    "comment_between_nodes": (
+        lambda t: t.replace(NODE_BLOCK_END, NODE_BLOCK_END + "<!-- c -->\n", 1), False),
+    "zero_nodes": (lambda t: exported_text(DirectedGraph()), True),
+    "zero_edges": (lambda t: exported_text(isolated("p.A")), True),
+}
+
+
+@pytest.mark.parametrize("name", NEAR_LAYOUT)
+def test_near_layout_files_read_as_the_oracle_does(name, tmp_path, reader_results):
+    edit, taken = NEAR_LAYOUT[name]
+    path = tmp_path / f"{name}.gexf"
+    path.write_bytes(edit(near_layout_base()).encode("utf-8"))
+    assert new_outcome(path) == oracle_outcome(path)
+    assert [g is not None for g in reader_results] == [taken]

@@ -161,3 +161,33 @@ def test_method_name_holding_a_paren_keeps_its_tail_through_build(tmp_path, caps
     g = import_gexf(gexf)
     assert g.labels == labels
     assert edges_by_label(g) == {(labels[0], labels[1]), (labels[0], labels[2])}
+
+
+def test_class_name_holding_method_sep_builds_a_class_vertex(tmp_path, capsys):
+    # JVMS 4.2.1 allows ":" in a class name, so "::" in a label does not
+    # make it a method: the GEXF must say so for class p.A::B.
+    table, gexf = tmp_path / "t.csv", tmp_path / "t.gexf"
+    table.write_text("caller_kind,caller,callee_kind,callee\nC,p.A::B,C,q.X\n",
+                     encoding="utf-8")
+    assert main(["build", str(table), "-o", str(gexf)]) == 0
+    assert '<node id="0" label="p.A::B">' in gexf.read_text(encoding="utf-8")
+    g = import_gexf(gexf)
+    assert dict(zip(g.labels, g.kinds)) == {"p.A::B": "class", "q.X": "class"}
+
+
+def test_called_class_holding_method_sep_is_a_class_vertex():
+    # A method row's callee class may hold "::" when the table comes straight
+    # from extraction; the caller's class is no vertex, so it stays as it is.
+    call = CallRecord(UnitKind.METHOD, QualifiedName("p", "A::B", "go"),
+                      UnitKind.METHOD, QualifiedName("q", "X::Y", "run"))
+    other = rec("p.A::B", "q.Z::f")  # the method B of p.A, a vertex "p.A::B"
+    g = build_graph(RelationTable([call, other]))
+    assert dict(zip(g.labels, g.kinds)) == {
+        "p.A::B::go": "method", "q.X::Y": "class", "q.X::Y::run": "method",
+        "p.A::B": "method", "q.Z": "class", "q.Z::f": "method"}
+    # Class p.A::B is called only from outside the prefix, so it is no vertex.
+    dropped = CallRecord(UnitKind.METHOD, QualifiedName("r", "C", "f"),
+                         UnitKind.METHOD, QualifiedName("p", "A::B", "run"))
+    g = build_graph(RelationTable([dropped, rec("p.A::B", "p.Z::f")]), package_prefix="p")
+    assert dict(zip(g.labels, g.kinds)) == {"p.A::B": "method", "p.Z": "class",
+                                            "p.Z::f": "method"}
