@@ -9,6 +9,7 @@ label separator otherwise.
 from __future__ import annotations
 
 import re
+from functools import partial
 from xml.parsers import expat
 
 from .errors import GexfSchemaError
@@ -20,6 +21,8 @@ _NS = "http://www.gexf.net/1.2draft"
 
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
                                "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+# Each reference _quoteattr writes, mapped to the character it stands for.
+_UNESCAPES = {ref: chr(c) for c, ref in _ATTR_ESCAPES.items()} | {"&quot;": '"'}
 
 
 def _quoteattr(text: str) -> str:
@@ -62,9 +65,15 @@ _ATTVALUES = '        <attvalues>\n'
 _NODE_END = ('        </attvalues>\n', '      </node>\n')
 _MIDDLE = ('    </nodes>\n', '    <edges>\n')
 _TAIL = ('    </edges>\n', '  </graph>\n', '</gexf>\n')
-# Compiled at first use. Text that expat reads as it stands: no CR, LF, tab,
-# &, <, quote or character XML 1.0 cannot carry. Ids have no leading zero.
-_TEXT = '"([^\x00-\x1f"&<\ud800-\udfff\ufffe\uffff]*)"'
+_MAX_LINE = 1 << 16  # characters; a longer node, kind or edge line leaves the layout
+# Compiled at first use. A quoted value as _quoteattr writes it: no CR, LF,
+# tab, < or character XML 1.0 cannot carry, and & only in a reference it
+# writes. An endpoint has no leading zero and at most 10 digits.
+_REF = "|".join(map(re.escape, _UNESCAPES))
+_IN_DOUBLE = '[^\x00-\x1f"&<\ud800-\udfff\ufffe\uffff]*'
+_IN_SINGLE = "[^\x00-\x1f'&<\ud800-\udfff\ufffe\uffff]*"
+_TEXT = (f'("{_IN_DOUBLE}(?:(?:{_REF}){_IN_DOUBLE})*"'
+         f"|'{_IN_SINGLE}(?:(?:{_REF}){_IN_SINGLE})*')")
 _NODE = f'      <node id="([0-9]+)" label={_TEXT}>\n'
 _KIND = f'          <attvalue for="0" value={_TEXT}/>\n'
 _EDGE = '      <edge id="[0-9]+" source="(0|[1-9][0-9]{0,9})" target="(0|[1-9][0-9]{0,9})"/>\n'
@@ -88,29 +97,37 @@ def export_gexf(g: DirectedGraph, path) -> None:
 
 def _read_layout(path) -> DirectedGraph | None:
     """A file in export_gexf's layout, read line by line; None once a line leaves it."""
-    g, kinds = DirectedGraph(), {}  # kind value -> the one string kept for it
+    g, kinds = DirectedGraph(), {}  # quoted kind -> the one string kept for it
     node_at, kind_at, edge_at = (re.compile(p).fullmatch for p in (_NODE, _KIND, _EDGE))
+    unescape = partial(re.compile(_REF).sub, lambda ref: _UNESCAPES[ref[0]])
+    n_attvalues, n_end0, n_end1 = map(len, (_ATTVALUES, *_NODE_END))
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             line = fh.readline
-            if any(line() != text for text in _HEAD):
+            # A fixed line is read no further than its length and any other no
+            # further than _MAX_LINE, so a file with few newlines leaves the
+            # layout without being read whole.
+            if any(line(len(fixed)) != fixed for fixed in _HEAD):
                 return None
-            while (row := line()) != _MIDDLE[0]:
+            while (row := line(_MAX_LINE)) != _MIDDLE[0]:
                 node, vid = node_at(row), len(g.labels)
-                if (node is None or node[1] != str(vid) or line() != _ATTVALUES
-                        or (kind := kind_at(line())) is None
-                        or line() != _NODE_END[0] or line() != _NODE_END[1]
-                        or g.add_vertex(node[2]) != vid):
+                if (node is None or node[1] != str(vid) or line(n_attvalues) != _ATTVALUES
+                        or (kind := kind_at(line(_MAX_LINE))) is None
+                        or line(n_end0) != _NODE_END[0] or line(n_end1) != _NODE_END[1]):
                     return None
-                g.kinds[vid] = kinds.setdefault(kind[1], kind[1])
-            if line() != _MIDDLE[1]:
+                label = node[2][1:-1]
+                if g.add_vertex(unescape(label) if "&" in label else label) != vid:
+                    return None
+                g.kinds[vid] = (kinds.get(kind[1])
+                                or kinds.setdefault(kind[1], unescape(kind[1][1:-1])))
+            if line(len(_MIDDLE[1])) != _MIDDLE[1]:
                 return None
-            while (row := line()) != _TAIL[0]:
+            while (row := line(_MAX_LINE)) != _TAIL[0]:
                 edge = edge_at(row)
                 if edge is None:
                     return None
                 g.add_edge(int(edge[1]), int(edge[2]))  # IndexError: not below n
-            if any(line() != text for text in _TAIL[1:]) or line():
+            if any(line(len(fixed)) != fixed for fixed in _TAIL[1:]) or line(1):
                 return None
     except (UnicodeDecodeError, IndexError):
         return None

@@ -180,36 +180,40 @@ def build_graph(table: RelationTable, package_prefix: str = "",
     add = g.add_edge_labels
     # _labels of each distinct name: a table names each unit on many rows.
     seen: dict[QualifiedName, tuple[str, ...]] = {}
+    odd: set[str] = set()  # class labels holding "::", which add_vertex takes for methods
     for caller_kind, caller, _, callee in table.records:
         ours = seen.get(caller)
         if ours is None:
-            ours = seen[caller] = _labels(caller, package_prefix, with_descriptors)
+            ours = seen[caller] = _labels(caller, package_prefix, with_descriptors, odd)
         theirs = seen.get(callee)
         if theirs is None:
-            theirs = seen[callee] = _labels(callee, package_prefix, with_descriptors)
+            theirs = seen[callee] = _labels(callee, package_prefix, with_descriptors, odd)
         if not (ours and theirs):
             continue
         if caller_kind is UnitKind.CLASS:
             add(ours[0], theirs[0])
-            continue
-        callee_label, callee_class_label = theirs
-        add(ours[0], callee_class_label)
-        if ours[1] == callee_class_label:
-            add(ours[0], callee_label)
         else:
-            add(callee_class_label, callee_label)
-    # A class name may hold "::" (JVMS 4.2.1), which add_vertex takes for a method.
-    odd = {qn for qn, labels in seen.items() if labels and METHOD_SEP in labels[1]}
-    for caller_kind, caller, _, callee in table.records if odd else ():
-        for qn in (caller, callee) if caller_kind is UnitKind.CLASS else (callee,):
-            if qn in odd and seen[caller] and seen[callee]:
-                g.kinds[g.add_vertex(seen[qn][1])] = "class"
+            callee_label, callee_class_label = theirs
+            add(ours[0], callee_class_label)
+            if ours[1] == callee_class_label:
+                add(ours[0], callee_label)
+            else:
+                add(callee_class_label, callee_label)
+        if odd:  # a class row's two classes and a method row's callee class are vertices
+            for label in (ours[1], theirs[1]) if caller_kind is UnitKind.CLASS else (theirs[1],):
+                if label in odd:
+                    g.kinds[g.add_vertex(label)] = "class"
     return g
 
 
-def _labels(qn: QualifiedName, prefix: str, with_descriptors: bool) -> tuple[str, ...]:
-    """() if the class of ``qn`` fails the prefix test, else (label, class label)."""
+def _labels(qn: QualifiedName, prefix: str, with_descriptors: bool,
+            odd: set[str]) -> tuple[str, ...]:
+    """() if the class of ``qn`` fails the prefix test, else (label, class
+    label); a class label holding "::" goes into ``odd``."""
     package = qn.package
     if prefix and package != prefix and not package.startswith(prefix + "."):
         return ()
+    if METHOD_SEP in qn.class_name:
+        odd.add(qn.class_name)
     return qn.render(with_descriptors), qn.class_name
+

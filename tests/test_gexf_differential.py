@@ -257,7 +257,10 @@ def test_reader_is_taken_for_exported_files(tmp_path, monkeypatch):
     jar.write_bytes(synthetic_jar(n_classes=60, seed=7))
     synthetic = tmp_path / "synthetic.gexf"
     export_gexf(build_graph(extract_archive(jar), package_prefix="app"), synthetic)
-    for path in (synthetic, GOLDEN):
+    # Labels holding every character _quoteattr escapes, and both quotes.
+    odd = tmp_path / "odd.gexf"
+    export_gexf(odd_labels_graph(), odd)
+    for path in (synthetic, odd, GOLDEN):
         with monkeypatch.context() as patch:
             patch.setattr(gexf, "_read_layout", lambda _path: None)
             parsed = import_gexf(path)
@@ -308,7 +311,15 @@ NODE_BLOCK_END = "      </node>\n"
 NEAR_LAYOUT = {
     "crlf": (lambda t: t.replace("\n", "\r\n"), False),
     "bom": (lambda t: "\ufeff" + t, False),
-    "amp_label": (lambda t: t.replace('label="q.B"', 'label="q&amp;B"'), False),
+    "amp_label": (lambda t: t.replace('label="q.B"', 'label="q&amp;B"'), True),
+    "escaped_clinit_label": (
+        lambda t: t.replace('label="q.B"', 'label="q.B::&lt;clinit&gt;"'), True),
+    "char_ref_label": (lambda t: t.replace('label="q.B"', 'label="q&#9;B&#10;"'), True),
+    "single_quoted_label": (lambda t: t.replace('label="q.B"', "label='q\"B'"), True),
+    "apos_ref_label": (lambda t: t.replace('label="q.B"', 'label="q&apos;B"'), False),
+    "undefined_entity_label": (lambda t: t.replace('label="q.B"', 'label="q&x;B"'), False),
+    "bare_amp_label": (lambda t: t.replace('label="q.B"', 'label="q&B"'), False),
+    "escaped_kind": (lambda t: t.replace('value="class"', 'value="&lt;class&gt;"'), True),
     "gt_label": (lambda t: t.replace('label="q.B"', 'label="q>B"'), True),
     "control_char_label": (lambda t: t.replace('label="q.B"', 'label="q\x01B"'), False),
     "noncharacter_kind": (lambda t: t.replace('value="class"', 'value="\uffff"'), False),
@@ -323,6 +334,9 @@ NEAR_LAYOUT = {
     "long_target": (lambda t: t.replace('target="0"', f'target="{LONG_ID}"'), False),
     "leading_zero_endpoint": (lambda t: t.replace('target="0"', 'target="00"'), False),
     "whitespace_after_root": (lambda t: t + " \n", False),
+    "single_line": (lambda t: t.replace("\n", ""), False),
+    "label_longer_than_max_line": (
+        lambda t: t.replace('label="q.B"', f'label="q.{"B" * (1 << 16)}"'), False),
     "comment_between_nodes": (
         lambda t: t.replace(NODE_BLOCK_END, NODE_BLOCK_END + "<!-- c -->\n", 1), False),
     "zero_nodes": (lambda t: exported_text(DirectedGraph()), True),
@@ -337,3 +351,39 @@ def test_near_layout_files_read_as_the_oracle_does(name, tmp_path, reader_result
     path.write_bytes(edit(near_layout_base()).encode("utf-8"))
     assert new_outcome(path) == oracle_outcome(path)
     assert [g is not None for g in reader_results] == [taken]
+
+
+@pytest.mark.parametrize("newlines", ["none", "header_only"])
+def test_reader_never_reads_a_file_with_few_newlines_whole(newlines, tmp_path, monkeypatch):
+    # Such a file leaves the layout at its first long line, which must not
+    # be read to the end of the file.
+    text = exported_text(isolated(*(f"p.C{i}" for i in range(2000))))
+    head = "".join(gexf._HEAD) if newlines == "header_only" else ""
+    path = tmp_path / "few_newlines.gexf"
+    path.write_text(head + text[len(head):].replace("\n", ""), encoding="utf-8")
+    assert path.stat().st_size > 2 * gexf._MAX_LINE
+    lines, real_open = [], open
+
+    class Recorded:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            self.fh.close()
+
+        def readline(self, size=-1):
+            lines.append(self.fh.readline(size))
+            return lines[-1]
+
+        def read(self, size=-1):  # expat's
+            return self.fh.read(size)
+
+    monkeypatch.setattr(gexf, "open", Recorded, raising=False)
+    assert new_outcome(path) == oracle_outcome(path)
+    if newlines == "none":
+        assert lines == [gexf._HEAD[0][:-1] + "<"]
+    else:
+        assert lines[:-1] == list(gexf._HEAD) and len(lines[-1]) == gexf._MAX_LINE

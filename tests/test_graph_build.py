@@ -167,12 +167,13 @@ def test_class_name_holding_method_sep_builds_a_class_vertex(tmp_path, capsys):
     # JVMS 4.2.1 allows ":" in a class name, so "::" in a label does not
     # make it a method: the GEXF must say so for class p.A::B.
     table, gexf = tmp_path / "t.csv", tmp_path / "t.gexf"
-    table.write_text("caller_kind,caller,callee_kind,callee\nC,p.A::B,C,q.X\n",
-                     encoding="utf-8")
+    table.write_text("caller_kind,caller,callee_kind,callee\n"
+                     "C,p.A::B,C,q.X\nC,q.X,C,r.Y::Z\n", encoding="utf-8")
     assert main(["build", str(table), "-o", str(gexf)]) == 0
     assert '<node id="0" label="p.A::B">' in gexf.read_text(encoding="utf-8")
     g = import_gexf(gexf)
-    assert dict(zip(g.labels, g.kinds)) == {"p.A::B": "class", "q.X": "class"}
+    assert dict(zip(g.labels, g.kinds)) == {"p.A::B": "class", "q.X": "class",
+                                            "r.Y::Z": "class"}
 
 
 def test_called_class_holding_method_sep_is_a_class_vertex():
