@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -214,3 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - contract: 3 = internal error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def run() -> None:
+    """The process entry of ``python -m jarnet`` and the ``jarnet`` script."""
+    # What start-up loaded lives until exit, so no collection needs to walk
+    # it; main() alone, as tests and library callers use it, freezes nothing.
+    gc.freeze()
+    sys.exit(main())

@@ -83,11 +83,16 @@ def export_gexf(g: DirectedGraph, path) -> None:
     """Write ``g`` as GEXF; a label or kind that XML 1.0 cannot carry
     raises GexfSchemaError before the file is opened."""
     _check_xml_chars(g, path)
+    # One search decides for every label whether _quoteattr would change it;
+    # no label holds the NUL that joins them, as _check_xml_chars rejects it.
+    plain = re.search('[&<>\n\r\t"]', "\0".join(g.labels)) is None
+    kinds = {kind: _quoteattr(kind) for kind in set(g.kinds)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_HEAD)
         for vid, (label, kind) in enumerate(zip(g.labels, g.kinds)):
-            fh.write(f'      <node id="{vid}" label={_quoteattr(label)}>\n{_ATTVALUES}'
-                     f'          <attvalue for="0" value={_quoteattr(kind)}/>\n'
+            label = f'"{label}"' if plain else _quoteattr(label)
+            fh.write(f'      <node id="{vid}" label={label}>\n{_ATTVALUES}'
+                     f'          <attvalue for="0" value={kinds[kind]}/>\n'
                      f'{_NODE_END[0]}{_NODE_END[1]}')
         fh.writelines(_MIDDLE)
         for eid, (src, dst) in enumerate(g.edges()):

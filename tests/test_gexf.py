@@ -1,6 +1,7 @@
 """GEXF I/O round trips and schema validation."""
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -145,10 +146,33 @@ def test_networkx_can_read_our_gexf(tmp_path):
     assert labels == set(g.labels)
 
 
-@pytest.mark.parametrize("label", [
+QUOTING_LABELS = [
     "plain", 'q"uote', "apo's", "both\"'", "a&b", "<tag>", "x > y", "line\nbreak",
     "cr\rlf", "tab\t", "café::méthode", "日本", "", "&quot;'\"<>\n\r\t&amp;",
-])
+]
+
+
+@pytest.mark.parametrize("label", QUOTING_LABELS)
 def test_label_quoting_matches_saxutils(label):
     from xml.sax.saxutils import quoteattr
     assert _quoteattr(label) == quoteattr(label)
+
+
+@pytest.mark.parametrize("label", QUOTING_LABELS)
+def test_export_quotes_each_label_and_kind_as_saxutils(label, tmp_path):
+    """One label that needs quoting must not change how a plain one is written."""
+    from xml.sax.saxutils import quoteattr
+    plain = "q.Plain::run"
+    g = DirectedGraph()
+    g.add_vertex(label)
+    g.add_vertex(plain)
+    g.kinds[0] = label
+    path = tmp_path / "g.gexf"
+    export_gexf(g, path)
+    text = path.read_text(encoding="utf-8")
+    assert re.findall(r'<node id="\d+" label=(.*)>\n', text) == [
+        quoteattr(label), quoteattr(plain)]
+    assert re.findall(r'<attvalue for="0" value=(.*)/>\n', text) == [
+        quoteattr(label), quoteattr("method")]
+    h = import_gexf(path)
+    assert (h.labels, h.kinds) == ([label, plain], [label, "method"])

@@ -1,14 +1,17 @@
 """End-to-end CLI pipeline: exit codes, files, reports, determinism."""
 from __future__ import annotations
 
+import gc
 import json
+import runpy
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from jarnet import extractor
+from jarnet import cli, extractor
 from jarnet.cli import main
 from jarnet.gexf import export_gexf, import_gexf
 from jarnet.graph import DirectedGraph
@@ -535,6 +538,39 @@ def test_module_entrypoint_subprocess(tmp_path):
                             capture_output=True, text=True)
     assert helped.returncode == 0
     assert "extract" in helped.stdout
+
+
+def test_run_freezes_once_then_exits_with_mains_code(monkeypatch, capsys):
+    calls = []
+    # A recorder in place of gc.freeze, so the test process is never frozen.
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or main())
+    for argv, code in ((["jarnet", "--version"], 0), (["jarnet", "no-such-step"], 1)):
+        calls.clear()
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == code, argv
+        assert calls == ["freeze", "main"], argv
+    capsys.readouterr()
+
+
+def test_main_in_process_freezes_nothing(sample_jar, tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(["extract", str(sample_jar), "-o", str(tmp_path / "t.csv")], capsys)
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_module_and_script_entries_call_run(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    runpy.run_module("jarnet", run_name="__main__")
+    assert calls == ["run"]
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"jarnet": "jarnet.cli:run"}
 
 
 @pytest.mark.usefixtures("src_on_pythonpath")

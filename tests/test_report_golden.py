@@ -17,6 +17,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -77,6 +79,21 @@ def test_analyze_reproduces_recorded_reports(fixture, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in analyze_fixture(fixture):
         assert Path(name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+@pytest.mark.usefixtures("src_on_pythonpath")
+def test_module_entry_reproduces_recorded_report(tmp_path):
+    """``python -m jarnet`` freezes its start-up heap and writes the same bytes."""
+    (tmp_path / "sample.jar").write_bytes(sample_network_jar())
+    for argv in (["extract", "sample.jar", "-o", "sample.csv"],
+                 ["build", "sample.csv", "-o", "sample.gexf", "--prefix", "sample"],
+                 ["analyze", "sample.gexf", "-o", "report_sample_full.json",
+                  "--seed", "3", "--top", "5"]):
+        proc = subprocess.run([sys.executable, "-m", "jarnet", *argv], cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    name = "report_sample_full.json"
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
 if __name__ == "__main__":
