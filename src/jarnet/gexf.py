@@ -23,6 +23,8 @@ _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
                                "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
 # Each reference _quoteattr writes, mapped to the character it stands for.
 _UNESCAPES = {ref: chr(c) for c, ref in _ATTR_ESCAPES.items()} | {"&quot;": '"'}
+# The characters _quoteattr changes; a value with none is only wrapped in "".
+_CHANGED = frozenset(map(chr, _ATTR_ESCAPES)) | {'"'}
 
 
 def _quoteattr(text: str) -> str:
@@ -31,6 +33,8 @@ def _quoteattr(text: str) -> str:
     That module imports ``urllib.request`` and with it ``http.client`` and
     ``email``, which every CLI start would pay for.
     """
+    if _CHANGED.isdisjoint(text):  # most labels: no translate call
+        return f'"{text}"'
     text = text.translate(_ATTR_ESCAPES)
     if '"' not in text:
         return f'"{text}"'
@@ -83,15 +87,11 @@ def export_gexf(g: DirectedGraph, path) -> None:
     """Write ``g`` as GEXF; a label or kind that XML 1.0 cannot carry
     raises GexfSchemaError before the file is opened."""
     _check_xml_chars(g, path)
-    # One search decides for every label whether _quoteattr would change it;
-    # no label holds the NUL that joins them, as _check_xml_chars rejects it.
-    plain = re.search('[&<>\n\r\t"]', "\0".join(g.labels)) is None
     kinds = {kind: _quoteattr(kind) for kind in set(g.kinds)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_HEAD)
         for vid, (label, kind) in enumerate(zip(g.labels, g.kinds)):
-            label = f'"{label}"' if plain else _quoteattr(label)
-            fh.write(f'      <node id="{vid}" label={label}>\n{_ATTVALUES}'
+            fh.write(f'      <node id="{vid}" label={_quoteattr(label)}>\n{_ATTVALUES}'
                      f'          <attvalue for="0" value={kinds[kind]}/>\n'
                      f'{_NODE_END[0]}{_NODE_END[1]}')
         fh.writelines(_MIDDLE)

@@ -562,12 +562,15 @@ def test_main_in_process_freezes_nothing(sample_jar, tmp_path, capsys):
     assert gc.get_freeze_count() == frozen
 
 
-def test_module_and_script_entries_call_run(monkeypatch):
-    tomllib = pytest.importorskip("tomllib")
+def test_module_entry_calls_run(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
     runpy.run_module("jarnet", run_name="__main__")
     assert calls == ["run"]
+
+
+def test_script_entry_names_run():
+    tomllib = pytest.importorskip("tomllib")  # from Python 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
     assert scripts == {"jarnet": "jarnet.cli:run"}
