@@ -10,9 +10,11 @@ from .graph import DirectedGraph, UndirectedGraph
 
 __all__ = ["CentralityVector", "betweenness", "pagerank", "top_k"]
 
+# PageRank's teleport damping, L1 stopping tolerance and iteration cap
+_DAMPING, _TOL, _MAX_ITER = 0.85, 1e-8, 200
+
 
 class CentralityVector(NamedTuple):
-    measure: str
     labels: list[str]
     scores: np.ndarray
     converged: bool = True
@@ -30,18 +32,13 @@ def betweenness(g: DirectedGraph | UndirectedGraph) -> CentralityVector:
     if isinstance(g, UndirectedGraph):
         # The kernel walks each unordered pair both ways; halving is exact.
         scores *= 0.5
-    return CentralityVector("betweenness", list(g.labels), scores)
+    return CentralityVector(list(g.labels), scores)
 
 
-def pagerank(
-    g: DirectedGraph,
-    damping: float = 0.85,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> CentralityVector:
+def pagerank(g: DirectedGraph) -> CentralityVector:
     """Power iteration with uniform teleport and dangling redistribution.
 
-    Stops when the L1 change drops below ``tol``; hitting ``max_iter``
+    Stops when the L1 change drops below ``_TOL``; hitting ``_MAX_ITER``
     first sets converged=False rather than raising.
     """
     if g.n == 0:
@@ -54,18 +51,17 @@ def pagerank(
     rank = np.full(n, 1.0 / n)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         contrib = rank[src] / out[src]
         acc = np.bincount(dst, weights=contrib, minlength=n)
         loose = float(rank[dangling].sum())
-        new_rank = damping * (acc + loose / n) + (1.0 - damping) / n
+        new_rank = _DAMPING * (acc + loose / n) + (1.0 - _DAMPING) / n
         err = float(np.abs(new_rank - rank).sum())
         rank = new_rank
-        if err < tol:
+        if err < _TOL:
             converged = True
             break
-    return CentralityVector("pagerank", list(g.labels), rank,
-                            converged=converged, iterations=iterations)
+    return CentralityVector(list(g.labels), rank, converged, iterations)
 
 
 def top_k(vector: CentralityVector, k: int = 10) -> list[tuple[str, float]]:

@@ -23,8 +23,6 @@ __all__ = ["MethodInfo", "ClassUnit", "parse_class"]
 MAGIC = 0xCAFEBABE
 MIN_MAJOR = 45  # first released format version
 
-ACC_INTERFACE = 0x0200
-
 TAG_UTF8 = 1
 TAG_INTEGER = 3
 TAG_FLOAT = 4
@@ -92,22 +90,13 @@ class ConstantPool(NamedTuple):
 class MethodInfo(NamedTuple):
     name: str
     descriptor: str
-    access_flags: int
     code: bytes | None
 
 
 class ClassUnit(NamedTuple):
     name: str  # internal form, e.g. org/example/Foo
-    super_name: str | None
-    access_flags: int
-    version: tuple[int, int]
-    interfaces: list[str]
     methods: list[MethodInfo]
     constants: ConstantPool
-
-    @property
-    def is_interface(self) -> bool:
-        return bool(self.access_flags & ACC_INTERFACE)
 
 
 _U2 = struct.Struct(">H").unpack_from
@@ -224,12 +213,14 @@ def parse_class(data: bytes, entry: str = "<bytes>") -> ClassUnit:
         if major < MIN_MAJOR:
             raise UnsupportedVersion(f"{entry}: class file version {major}.{minor}")
         pool, pos = _read_pool(data, entry)
-        access_flags, this_index, super_index, n_interfaces = _U2X4(data, pos)
+        _, this_index, super_index, n_interfaces = _U2X4(data, pos)  # access flags unread
         pos += 8
         name = pool.class_name(this_index)
-        super_name = pool.class_name(super_index) if super_index else None
-        interfaces = [pool.class_name(index) for index in
-                      struct.unpack_from(f">{n_interfaces}H", data, pos)]
+        # Read only so that a bad super or interface index rejects the class.
+        if super_index:
+            pool.class_name(super_index)
+        for index in struct.unpack_from(f">{n_interfaces}H", data, pos):
+            pool.class_name(index)
         pos += 2 * n_interfaces
         (n_fields,) = _U2(data, pos)
         pos += 2
@@ -243,7 +234,7 @@ def parse_class(data: bytes, entry: str = "<bytes>") -> ClassUnit:
         (n_methods,) = _U2(data, pos)
         pos += 2
         for _ in range(n_methods):
-            access, name_index, desc_index, n_attrs = _U2X4(data, pos)
+            _, name_index, desc_index, n_attrs = _U2X4(data, pos)  # access flags unread
             pos += 8
             method_name = utf8s.get(name_index)
             descriptor = utf8s.get(desc_index)
@@ -271,10 +262,9 @@ def parse_class(data: bytes, entry: str = "<bytes>") -> ClassUnit:
                     if pos != end:
                         raise TruncatedClassFile(f"{entry}: Code attribute length mismatch")
                 pos = end
-            methods.append(MethodInfo(method_name, descriptor, access, code))
+            methods.append(MethodInfo(method_name, descriptor, code))
         if pos > len(data):
             raise TruncatedClassFile(f"{entry}: truncated at byte {len(data)}")
     except struct.error as exc:
         raise TruncatedClassFile(f"{entry}: truncated ({exc})") from None
-    return ClassUnit(name, super_name, access_flags, (major, minor),
-                     interfaces, methods, pool)
+    return ClassUnit(name, methods, pool)

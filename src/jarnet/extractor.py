@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 import zipfile
+from operator import add
 from pathlib import Path
 
 from .classfile import ClassUnit, parse_class
@@ -238,21 +239,20 @@ def open_archive(path, tolerant: bool = False, on_skip=None):
 
 
 def extract_archive(path, tolerant: bool = False) -> RelationTable:
-    """Parse every class in the archive and build the full relation table."""
-    stats = ExtractStats()
-
-    def skipped(_name, _exc):
-        stats.entries_skipped += 1
-
+    """Parse every class in the archive and build the full relation table,
+    whose stats sum the per-class counters field by field."""
+    skipped: list[str] = []  # entry names
     records: list[CallRecord] = []
-    for name, data in open_archive(path, tolerant=tolerant, on_skip=skipped):
+    stats = ExtractStats()
+    for name, data in open_archive(path, tolerant=tolerant,
+                                   on_skip=lambda entry, _exc: skipped.append(entry)):
         try:
             class_records, class_stats = extract_calls(parse_class(data, entry=name))
         except ClassFormatError as exc:
             if not tolerant:
                 raise EntryDecodeError(name, exc) from exc
-            stats.entries_skipped += 1
+            skipped.append(name)
             continue
         records.extend(class_records)
-        stats.merge(class_stats)
-    return RelationTable(records=records, source_archive=str(path), stats=stats)
+        stats = ExtractStats(*map(add, stats, class_stats))
+    return RelationTable(records, stats._replace(entries_skipped=len(skipped)))

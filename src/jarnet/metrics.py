@@ -21,8 +21,6 @@ __all__ = [
 
 
 class DegreeReport(NamedTuple):
-    in_degrees: np.ndarray
-    out_degrees: np.ndarray
     total_degrees: np.ndarray
     avg_degree: float
 
@@ -38,7 +36,6 @@ class PathStats(NamedTuple):
 class ComponentReport(NamedTuple):
     labels: np.ndarray
     count: int  # shadows tuple.count
-    sizes: tuple[int, ...]
     giant_label: int
     giant_size: int
     giant_fraction: float
@@ -47,14 +44,7 @@ class ComponentReport(NamedTuple):
 def degrees(g: DirectedGraph) -> DegreeReport:
     if g.n == 0:
         raise EmptyGraph("degree statistics need at least one vertex")
-    ind = g.in_degrees()
-    outd = g.out_degrees()
-    return DegreeReport(
-        in_degrees=ind,
-        out_degrees=outd,
-        total_degrees=ind + outd,
-        avg_degree=g.m / g.n,
-    )
+    return DegreeReport(g.in_degrees() + g.out_degrees(), g.m / g.n)
 
 
 def _fold_leaves(indptr, indices, sources):
@@ -141,7 +131,6 @@ def _components_from_csr(indptr, indices) -> ComponentReport:
     return ComponentReport(
         labels=labels,
         count=int(sizes.shape[0]),
-        sizes=tuple(sizes.tolist()),
         giant_label=giant_label,
         giant_size=giant_size,
         giant_fraction=giant_size / labels.shape[0],

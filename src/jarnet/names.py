@@ -115,38 +115,22 @@ class CallRecord(_CallFields):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-class ExtractStats:
+class ExtractStats(NamedTuple):
     """Scan diagnostics; call_sites - unresolved_sites call records were kept."""
 
-    def __init__(self, entries_scanned: int = 0, entries_skipped: int = 0,
-                 call_sites: int = 0, unresolved_sites: int = 0,
-                 class_refs: int = 0, bad_code_methods: int = 0):
-        self.entries_scanned = entries_scanned
-        self.entries_skipped = entries_skipped
-        self.call_sites = call_sites
-        self.unresolved_sites = unresolved_sites
-        self.class_refs = class_refs
-        self.bad_code_methods = bad_code_methods
-
-    def __eq__(self, other) -> bool:
-        return type(other) is ExtractStats and vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return "ExtractStats(" + ", ".join(f"{k}={v}" for k, v in vars(self).items()) + ")"
-
-    def merge(self, other: "ExtractStats") -> None:
-        for name, count in vars(other).items():
-            setattr(self, name, getattr(self, name) + count)
+    entries_scanned: int = 0
+    entries_skipped: int = 0
+    call_sites: int = 0
+    unresolved_sites: int = 0
+    class_refs: int = 0
+    bad_code_methods: int = 0
 
 
-class RelationTable:
+class RelationTable(NamedTuple):
     """The extracted caller/callee relation for one archive."""
 
-    def __init__(self, records: list[CallRecord] | None = None, source_archive: str = "",
-                 stats: ExtractStats | None = None):
-        self.records = [] if records is None else records
-        self.source_archive = source_archive
-        self.stats = stats
+    records: list[CallRecord]
+    stats: ExtractStats | None = None
 
 
 def _delimiter(path: Path, format: str | None) -> str:
@@ -218,4 +202,4 @@ def read_relation_table(path) -> RelationTable:
             raise MalformedRecord(f"{path}:{reader.line_num + 1}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise MalformedRecord(f"{path}: not UTF-8 text: {exc}") from exc
-    return RelationTable(records=records, source_archive=str(path))
+    return RelationTable(records)

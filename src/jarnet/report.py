@@ -104,7 +104,7 @@ _TABLE = {
     "clustering": lambda run: avg_clustering(run.g),
     **_SKIPPABLE,
     "degree_ranking": lambda run: _ranked(run, CentralityVector(
-        "degree", list(run.g.labels), run.pieces["degrees"].total_degrees.astype(np.float64))),
+        list(run.g.labels), run.pieces["degrees"].total_degrees.astype(np.float64))),
     "pagerank": lambda run: _ranked(run, pagerank(run.g)),
 }
 

@@ -170,7 +170,6 @@ def small_world_test(
 class DegreeHistogram(NamedTuple):
     degrees: np.ndarray
     counts: np.ndarray
-    which: str = "total"
 
 
 def degree_histogram(g: DirectedGraph, which: str = "total") -> DegreeHistogram:
@@ -186,7 +185,7 @@ def degree_histogram(g: DirectedGraph, which: str = "total") -> DegreeHistogram:
     counts = np.bincount(values)
     degrees = np.flatnonzero(counts)
     return DegreeHistogram(degrees=degrees.astype(np.int64),
-                           counts=counts[degrees].astype(np.int64), which=which)
+                           counts=counts[degrees].astype(np.int64))
 
 
 class PowerLawFit(NamedTuple):
@@ -198,9 +197,10 @@ class PowerLawFit(NamedTuple):
     method: str = "loglog_regression"
 
 
-def _hurwitz_zeta(s: float, a: float, terms: int = 1000) -> tuple[float, float]:
+def _hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     """Sum of (a+j)^-s for j >= 0 via direct terms + tail correction, and
     its derivative in s (always negative for s > 1)."""
+    terms = 1000  # summed directly; the tail correction covers the rest
     u = a + np.arange(terms, dtype=np.float64)
     powers = u ** -s
     edge = a + terms

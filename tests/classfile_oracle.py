@@ -5,11 +5,15 @@ extract_calls`` replaced, kept as an oracle.
 A cursor object reads every field through method calls, and the constant
 pool stays a list of raw ``(tag, payload)`` entries that each lookup
 resolves again. The replacement must accept exactly the inputs this code
-accepts and produce equal units, records and counters.
+accepts and produce equal units, records and counters. This parser still
+keeps the whole header (super class, flags, version, interfaces), which
+jarnet's ``ClassUnit`` drops, so its units are its own record types.
 """
 from __future__ import annotations
 
 import struct
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from jarnet.classfile import (
     MAGIC,
@@ -31,8 +35,6 @@ from jarnet.classfile import (
     TAG_PACKAGE,
     TAG_STRING,
     TAG_UTF8,
-    ClassUnit,
-    MethodInfo,
 )
 from jarnet.errors import (
     BadMagic,
@@ -92,6 +94,23 @@ OP_TABLESWITCH = 0xAA
 OP_LOOKUPSWITCH = 0xAB
 OP_WIDE = 0xC4
 OP_IINC = 0x84
+
+
+class MethodInfo(NamedTuple):
+    name: str
+    descriptor: str
+    access_flags: int
+    code: bytes | None
+
+
+class ClassUnit(NamedTuple):
+    name: str
+    super_name: str | None
+    access_flags: int
+    version: tuple[int, int]
+    interfaces: list[str]
+    methods: list[MethodInfo]
+    constants: ConstantPool
 
 
 class _Reader:
@@ -343,7 +362,7 @@ def _element_class(internal: str) -> str | None:
 def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
     """All records for one class, plus the site/reference counters."""
     pool = unit.constants
-    stats = ExtractStats(entries_scanned=1)
+    stats = SimpleNamespace(**ExtractStats(entries_scanned=1)._asdict())
     records: list[CallRecord] = []
     class_refs: dict[str, None] = {}
 
@@ -402,4 +421,4 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
         records.append(CallRecord(UnitKind.CLASS, caller_cls, UnitKind.CLASS,
                                   QualifiedName.from_internal(internal)))
     stats.class_refs = len(class_refs)
-    return records, stats
+    return records, ExtractStats(**vars(stats))

@@ -198,7 +198,7 @@ def test_criterion_6_power_law_recovery():
     with criterion(6, "power-law fit recovery", budget=30.0):
         ks = np.arange(1, 101, dtype=np.int64)
         counts = np.round(1e6 * ks.astype(np.float64) ** -2.0).astype(np.int64)
-        exact = DegreeHistogram(degrees=ks, counts=counts, which="total")
+        exact = DegreeHistogram(degrees=ks, counts=counts)
         assert abs(fit_power_law(exact).alpha - 2.0) <= 0.05
 
         sampled = sample_power_law(alpha=2.6, size=100_000, seed=12)

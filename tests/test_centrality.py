@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from jarnet import centrality
 from jarnet.centrality import CentralityVector, betweenness, pagerank, top_k
 from jarnet.graph import DirectedGraph
 
@@ -162,7 +163,7 @@ def test_pagerank_uniform_on_cycle():
     assert np.allclose(scores, 1 / 3, atol=1e-12)
 
 
-def test_pagerank_contract_fields():
+def test_pagerank_contract_fields(monkeypatch):
     rng = random.Random(17)
     g = random_digraph(25, 0.15, rng)
     result = pagerank(g)
@@ -170,7 +171,8 @@ def test_pagerank_contract_fields():
     assert (result.scores >= 0).all()
     assert result.converged
     assert 0 < result.iterations <= 200
-    capped = pagerank(g, max_iter=1)
+    monkeypatch.setattr(centrality, "_MAX_ITER", 1)
+    capped = pagerank(g)
     assert not capped.converged  # flag, not an exception
     assert capped.iterations == 1
     assert capped.scores.sum() == pytest.approx(1.0, abs=1e-9)
@@ -215,6 +217,6 @@ def full_sort_top_k(vec, k):
 ])
 def test_top_k_matches_full_sort(scores):
     labels = ["h", "c", "a", "g", "b", "f", "e", "d"]
-    vec = CentralityVector("score", labels, np.array(scores))
+    vec = CentralityVector(labels, np.array(scores))
     for k in (0, 1, 2, 3, 4, 5, 8, 9, 13):
         assert top_k(vec, k) == full_sort_top_k(vec, k), k

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from classfile_builder import ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC, ClassBuilder
+from classfile_builder import ACC_ABSTRACT, ACC_PUBLIC, ClassBuilder
 from jarnet.classfile import parse_class
 from jarnet.errors import BadMagic, ClassFormatError, MalformedConstantPool, UnsupportedVersion
 from jarnet.extractor import extract_calls
@@ -37,8 +37,7 @@ def test_version_gate():
     with pytest.raises(UnsupportedVersion):
         parse_class(ClassBuilder("p/T", version=(44, 3)).build())
     for major in (45, 52, 61, 65):
-        unit = parse_class(ClassBuilder("p/T", version=(major, 0)).build())
-        assert unit.version == (major, 0)
+        assert parse_class(ClassBuilder("p/T", version=(major, 0)).build()).name == "p/T"
 
 
 def test_basic_structure():
@@ -47,17 +46,10 @@ def test_basic_structure():
     cb.add_method("stop", "(I)V", code=None, access=ACC_PUBLIC | ACC_ABSTRACT)
     unit = parse_class(cb.build())
     assert unit.name == "com/example/Widget"
-    assert unit.super_name == "com/example/Base"
-    assert not unit.is_interface
     assert [(m.name, m.descriptor) for m in unit.methods] == [
         ("spin", "()V"), ("stop", "(I)V")]
     assert unit.methods[0].code is not None
     assert unit.methods[1].code is None
-
-
-def test_interface_flag():
-    cb = ClassBuilder("p/Iface", access=ACC_PUBLIC | ACC_INTERFACE | ACC_ABSTRACT)
-    assert parse_class(cb.build()).is_interface
 
 
 def test_long_and_double_occupy_two_slots():
@@ -103,6 +95,38 @@ def test_class_name_index_must_be_class_entry():
     struct.pack_into(">H", data, offset, utf8_index)
     with pytest.raises(MalformedConstantPool):
         parse_class(bytes(data))
+
+
+def utf8_super(cb: ClassBuilder) -> None:
+    cb.super_index = cb.utf8("java/lang/Object")
+
+
+def interface_past_pool(cb: ClassBuilder) -> None:
+    cb.interfaces.append(len(cb._entries) + 1)
+
+
+# Edits of the super_class and interfaces indexes, which parse_class reads
+# only to check them; each must reject the class.
+BAD_HEADER_INDEXES = {"super-is-utf8": utf8_super, "interface-past-pool": interface_past_pool}
+
+
+def with_header(edit) -> bytes:
+    """Class ``p/T`` with ``edit`` applied to its builder."""
+    cb = ClassBuilder("p/T")
+    edit(cb)
+    return cb.build()
+
+
+@pytest.mark.parametrize("edit", BAD_HEADER_INDEXES.values(), ids=BAD_HEADER_INDEXES)
+def test_bad_super_or_interface_index_raises(edit):
+    with pytest.raises(MalformedConstantPool):
+        parse_class(with_header(edit))
+
+
+def test_zero_super_index_accepted():
+    # java/lang/Object is the one class without a superclass.
+    unit = parse_class(ClassBuilder("p/T", super_name=None).build())
+    assert unit.name == "p/T"
 
 
 def test_instruction_stream_offsets():

@@ -37,7 +37,6 @@ def test_sample_fixture_records(sample_jar):
     table = extract_archive(sample_jar)
     assert rows(table) == GOLDEN_SAMPLE_ROWS
     assert table.stats.entries_scanned == 3
-    assert table.source_archive == str(sample_jar)
 
 
 def test_sample_fixture_csv_bytes(sample_jar, tmp_path):

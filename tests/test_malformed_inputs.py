@@ -9,9 +9,10 @@ import zipfile
 
 import pytest
 
-from classfile_builder import synthetic_jar
+from classfile_builder import make_jar, synthetic_jar
 from jarnet.gexf import export_gexf, import_gexf
 
+from test_classfile import BAD_HEADER_INDEXES, with_header
 from test_report_cli import run
 
 
@@ -68,6 +69,16 @@ def test_extract_unopenable_zip_directory_exits_2(tmp_path, capsys, patch, mode)
     code, _, err = run(["extract", str(jar), "-o", str(tmp_path / "rel.csv"), *mode], capsys)
     assert code == 2
     assert f"error: {jar}: " in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("edit", BAD_HEADER_INDEXES.values(), ids=BAD_HEADER_INDEXES)
+def test_extract_bad_header_index_exits_2(tmp_path, capsys, edit):
+    jar = tmp_path / "bad.jar"
+    jar.write_bytes(make_jar([("p/T.class", with_header(edit))]))
+    code, _, err = run(["extract", str(jar), "-o", str(tmp_path / "rel.csv")], capsys)
+    assert code == 2
+    assert "error: p/T.class: " in err
     assert "internal error" not in err
 
 

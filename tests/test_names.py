@@ -128,7 +128,7 @@ def _synthetic_records(count: int, seed: int, with_descriptors: bool = False):
 @pytest.mark.parametrize("fmt", ["csv", "tsv"])
 def test_round_trip_identity(tmp_path, fmt):
     records = _synthetic_records(10_000, seed=3)
-    table = RelationTable(records=records, source_archive="synthetic")
+    table = RelationTable(records=records)
     path = tmp_path / f"rel.{fmt}"
     write_relation_table(table, path, format=fmt)
     back = read_relation_table(path)

@@ -189,7 +189,7 @@ def test_degree_histogram_star():
 def test_regression_recovers_exact_power_law():
     degrees = np.arange(1, 101)
     counts = np.round(1e6 * degrees.astype(float) ** -2.0).astype(np.int64)
-    hist = DegreeHistogram(degrees=degrees, counts=counts, which="total")
+    hist = DegreeHistogram(degrees=degrees, counts=counts)
     fit = fit_power_law(hist)
     assert fit.method == "loglog_regression"
     assert fit.alpha == pytest.approx(2.0, abs=0.05)
@@ -207,7 +207,7 @@ def sample_power_law(alpha: float, size: int, seed: int, x_min: int = 1,
     samples = np.searchsorted(cdf, rng.random(size)) + x_min
     values, counts = np.unique(samples, return_counts=True)
     return DegreeHistogram(degrees=values.astype(np.int64),
-                           counts=counts.astype(np.int64), which="sample")
+                           counts=counts.astype(np.int64))
 
 
 def test_mle_recovers_sampled_exponent():
@@ -244,7 +244,7 @@ def test_x_min_restricts_the_fit():
     degrees = np.arange(1, 60)
     counts = np.round(1e5 * degrees.astype(float) ** -2.4).astype(np.int64)
     counts[0] = 5  # corrupt the head
-    hist = DegreeHistogram(degrees=degrees, counts=counts, which="total")
+    hist = DegreeHistogram(degrees=degrees, counts=counts)
     whole = fit_power_law(hist, x_min=1)
     tail = fit_power_law(hist, x_min=2)
     assert abs(tail.alpha - 2.4) < abs(whole.alpha - 2.4)
@@ -252,12 +252,10 @@ def test_x_min_restricts_the_fit():
 
 
 def test_degenerate_histogram_raises():
-    flat = DegreeHistogram(degrees=np.array([4]), counts=np.array([10]),
-                           which="total")
+    flat = DegreeHistogram(degrees=np.array([4]), counts=np.array([10]))
     with pytest.raises(DegenerateHistogram):
         fit_power_law(flat)
-    two = DegreeHistogram(degrees=np.array([1, 2]), counts=np.array([5, 5]),
-                          which="total")
+    two = DegreeHistogram(degrees=np.array([1, 2]), counts=np.array([5, 5]))
     with pytest.raises(DegenerateHistogram):
         fit_power_law(two)
 

@@ -1,11 +1,11 @@
-"""Record and result types are immutable named tuples, the report's result
-and run state among them; the two mutated types (ExtractStats,
-RelationTable) are plain classes."""
+"""Record and result types are immutable named tuples, the extraction
+counters and table and the report's result and run state among them."""
 from __future__ import annotations
 
 import pytest
 
 import jarnet
+from classfile_builder import make_jar, synthetic_jar
 from jarnet import (
     CallRecord,
     CentralityVector,
@@ -26,14 +26,16 @@ from jarnet import (
     UnitKind,
     components,
 )
-from jarnet.classfile import ConstantPool
+from jarnet.classfile import ConstantPool, parse_class
 from jarnet.errors import MalformedRecord
+from jarnet.extractor import extract_archive, extract_calls
 from jarnet.report import AnalysisResult, _Run
+from test_classfile_differential import jar_classes
 
 VALUE_TYPES = [QualifiedName, CallRecord, ConstantPool, MethodInfo, ClassUnit,
-               DegreeReport, PathStats, ComponentReport, CentralityVector, Partition,
-               CommunitySizeReport, SmallWorldReport, DegreeHistogram, PowerLawFit,
-               AnalysisResult, _Run]
+               ExtractStats, RelationTable, DegreeReport, PathStats, ComponentReport,
+               CentralityVector, Partition, CommunitySizeReport, SmallWorldReport,
+               DegreeHistogram, PowerLawFit, AnalysisResult, _Run]
 
 NAME = QualifiedName.parse("a.B::m")
 
@@ -81,16 +83,17 @@ def test_component_count_is_the_field():
     assert components(g).count == 2
 
 
-def test_extract_stats_compare_and_merge():
-    stats = ExtractStats(entries_scanned=1, call_sites=3)
-    stats.merge(ExtractStats(entries_scanned=2, unresolved_sites=1, call_sites=4))
-    assert stats == ExtractStats(3, 0, 7, 1, 0, 0)
-    assert stats != ExtractStats(3, 0, 7, 1, 0, 1)
-    assert repr(stats) == ("ExtractStats(entries_scanned=3, entries_skipped=0, call_sites=7, "
-                           "unresolved_sites=1, class_refs=0, bad_code_methods=0)")
-
-
-def test_relation_tables_do_not_share_records():
-    first, second = RelationTable(), RelationTable()
-    first.records.append(instance(CallRecord))
-    assert second.records == []
+@pytest.mark.parametrize("corrupt", ["unparsable", "bad-crc"])
+def test_tolerant_extract_stats_sum_the_good_classes(tmp_path, corrupt):
+    """The table's counters are the field-by-field sum of each good class's,
+    and the one corrupt entry counts as skipped, whichever way it fails."""
+    good = jar_classes(synthetic_jar(6, seed=2))
+    jar = make_jar(good[:3] + [("p/Bad.class", b"\xca\xfe\xba\xbeCORRUPT!")] + good[3:])
+    if corrupt == "bad-crc":
+        jar = jar.replace(b"CORRUPT!", b"corrupt!")  # the stored CRC no longer holds
+    path = tmp_path / "app.jar"
+    path.write_bytes(jar)
+    table = extract_archive(path, tolerant=True)
+    counts = [extract_calls(parse_class(data, name))[1] for name, data in good]
+    assert table.stats == ExtractStats(*map(sum, zip(*counts)))._replace(entries_skipped=1)
+    assert table.stats.entries_scanned == len(good)
