@@ -31,10 +31,13 @@ never approximated.
   * each level lists the vertices it reaches in discovery (queue) order:
     first-touch marking keeps each candidate's first appearance among
     the candidates, which come in frontier order and then successor
-    order. The mark of every candidate is reset before each level, so no
-    mark from an earlier level or batch survives;
+    order. Then ``mark`` holds each reached vertex's queue position. The
+    mark of every candidate is reset before each level, so no mark from
+    an earlier level or batch survives;
   * path counts (sigma) of those vertices come from a ``bincount``, which
-    adds in input order, over the candidates in that same order;
+    adds in input order, over the candidates in that same order. A
+    reached vertex has sigma >= 1 and any other has 0, so sigma is the
+    reached mark;
   * dependencies (delta) go level by level from the deepest, over the
     shortest-path edges (parent, child) the forward pass kept for that
     level, sorted by *descending* queue position of the child. One
@@ -46,6 +49,10 @@ never approximated.
     last bits;
   * each source's own delta is zeroed, and the batch's delta rows are
     added to the scores in source order.
+
+  Its three working arrays, ``mark``, sigma and delta, are allocated once
+  for ``max(1, BATCH_ENTRIES // n)`` sources and live for the whole call;
+  sigma and delta are zeroed before each batch.
 - ``triangle_doubles``: degree-ordered wedge enumeration; integers.
 - ``component_labels``: min-label propagation over a frontier; integers.
 """
@@ -185,17 +192,16 @@ def brandes(indptr, indices):
     bc = np.zeros(n, np.float64)
     active = np.flatnonzero(np.diff(indptr))
     per = max(1, BATCH_ENTRIES // max(n, 1))
-    # First-touch scratch, shared by every level of every batch.
+    # The three working arrays, shared by every level of every batch.
     mark = np.empty(per * n, np.int64)
-    slot = np.empty(per * n, np.int64)
+    sigma = np.empty(per * n, np.float64)
+    delta = np.empty(per * n, np.float64)
     for lo in range(0, active.shape[0], per):
         sources = active[lo:lo + per]
         b = sources.shape[0]
         roots = np.arange(b, dtype=np.int64) * n + sources
-        seen = np.zeros(b * n, bool)
-        sigma = np.zeros(b * n, np.float64)
-        delta = np.zeros(b * n, np.float64)
-        seen[roots] = True
+        sigma.fill(0.0)
+        delta.fill(0.0)
         sigma[roots] = 1.0
         frontier = roots
         edges = []
@@ -203,7 +209,7 @@ def brandes(indptr, indices):
             u = frontier % n
             pos, counts = _neighbours(indptr, u)
             cand = np.repeat(frontier - u, counts) + indices[pos]
-            fresh = ~seen[cand]
+            fresh = sigma[cand] == 0.0
             if not fresh.any():
                 break
             cand = cand[fresh]
@@ -212,16 +218,16 @@ def brandes(indptr, indices):
             mark[cand] = cand.shape[0]
             np.minimum.at(mark, cand, k)
             reached = cand[mark[cand] == k]
-            slot[reached] = np.arange(reached.shape[0])
-            sigma[reached] = np.bincount(slot[cand], weights=sigma[parent])
-            seen[reached] = True
-            order = np.argsort(-slot[cand], kind="stable")
+            mark[reached] = np.arange(reached.shape[0])
+            slot = mark[cand]
+            sigma[reached] = np.bincount(slot, weights=sigma[parent])
+            order = np.argsort(-slot, kind="stable")
             edges.append((parent[order], cand[order]))
             frontier = reached
         for v, w in reversed(edges):
             np.add.at(delta, v, sigma[v] * ((1.0 + delta[w]) / sigma[w]))
         delta[roots] = 0.0
-        for row in delta.reshape(b, n):
+        for row in delta[:b * n].reshape(b, n):
             bc += row
     return bc
 

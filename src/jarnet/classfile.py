@@ -67,16 +67,15 @@ class ConstantPool(NamedTuple):
     ``tags`` maps each 1-based index that holds an entry to its tag; the
     slot after a Long or Double holds none. Each other table maps the
     indices of one kind of entry to its resolved value: ``utf8s`` to
-    text, ``classes`` to an internal class name, ``nats`` to ``(name,
-    descriptor)``, and ``field_refs`` and ``method_refs`` (Methodref and
-    InterfaceMethodref) to ``(class, name, descriptor)``. ``class_name`` raises
-    MalformedConstantPool for an index that does not hold a Class entry.
+    text, ``classes`` to an internal class name, and ``field_refs`` and
+    ``method_refs`` (Methodref and InterfaceMethodref) to ``(class, name,
+    descriptor)``. ``class_name`` raises MalformedConstantPool for an index
+    that does not hold a Class entry.
     """
 
     tags: dict[int, int]
     utf8s: dict[int, str]
     classes: dict[int, str]
-    nats: dict[int, tuple[str, str]]
     field_refs: dict[int, tuple[str, str, str]]
     method_refs: dict[int, tuple[str, str, str]]
 
@@ -201,7 +200,7 @@ def _read_pool(data: bytes, entry: str) -> tuple[ConstantPool, int]:
         for used in uses:
             if used not in table:
                 raise _bad_index(tags, used, what)
-    return ConstantPool(tags, utf8s, classes, nats, field_refs, method_refs), pos
+    return ConstantPool(tags, utf8s, classes, field_refs, method_refs), pos
 
 
 def parse_class(data: bytes, entry: str = "<bytes>") -> ClassUnit:

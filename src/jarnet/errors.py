@@ -18,10 +18,6 @@ class ArchiveCorrupt(JarnetError):
 class EntryDecodeError(JarnetError):
     """A single archive entry could not be read or parsed."""
 
-    def __init__(self, entry: str, cause: Exception | str = ""):
-        super().__init__(f"{entry}: {cause}")
-        self.entry = entry
-
 
 # -- class files ------------------------------------------------------------
 class ClassFormatError(JarnetError):

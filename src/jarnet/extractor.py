@@ -234,7 +234,7 @@ def open_archive(path, tolerant: bool = False, on_skip=None):
                     if on_skip is not None:
                         on_skip(info.filename, exc)
                     continue
-                raise EntryDecodeError(info.filename, exc) from exc
+                raise EntryDecodeError(f"{info.filename}: {exc}") from exc
             yield info.filename, data
 
 
@@ -250,7 +250,7 @@ def extract_archive(path, tolerant: bool = False) -> RelationTable:
             class_records, class_stats = extract_calls(parse_class(data, entry=name))
         except ClassFormatError as exc:
             if not tolerant:
-                raise EntryDecodeError(name, exc) from exc
+                raise EntryDecodeError(f"{name}: {exc}") from exc
             skipped.append(name)
             continue
         records.extend(class_records)

@@ -47,20 +47,16 @@ class DirectedGraph:
             self.kinds.append("method" if METHOD_SEP in label else "class")
         return vid
 
-    def add_edge(self, src: int, dst: int) -> bool:
+    def add_edge(self, src: int, dst: int) -> None:
         if self._keys is None:
             raise ValueError(f"cannot add edge ({src}, {dst}): the graph is frozen")
         n = len(self.labels)
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"edge ({src}, {dst}) names a missing vertex")
-        key = src << 32 | dst
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        return True
+        self._keys.add(src << 32 | dst)
 
-    def add_edge_labels(self, src_label: str, dst_label: str) -> bool:
-        return self.add_edge(self.add_vertex(src_label), self.add_vertex(dst_label))
+    def add_edge_labels(self, src_label: str, dst_label: str) -> None:
+        self.add_edge(self.add_vertex(src_label), self.add_vertex(dst_label))
 
     # -- queries --------------------------------------------------------------
     @property

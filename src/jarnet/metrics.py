@@ -68,8 +68,7 @@ def _fold_leaves(indptr, indices, sources):
 
 
 def _bfs_over_sources(indptr, indices, sources, exact, symmetric) -> PathStats:
-    run, leaves = _fold_leaves(indptr, indices, sources) if exact and symmetric \
-        else (sources, None)
+    run, leaves = _fold_leaves(indptr, indices, sources) if symmetric else (sources, None)
     total, pairs, diameter = _kernels.bfs_stats(indptr, indices, run, leaves)
     average = total / pairs if pairs else 0.0
     return PathStats(average, diameter, pairs, exact, int(sources.shape[0]))

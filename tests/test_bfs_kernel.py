@@ -213,6 +213,30 @@ def test_leaf_fold_runs_fewer_sources():
     assert shortest_path_stats(g, mode="undirected").diameter == 5
 
 
+def test_sampled_undirected_runs_fold_leaves(monkeypatch):
+    # A path whose every vertex has three leaves, and a separate K2: most
+    # samples hold a leaf together with its neighbour, which it folds onto.
+    edges = path_edges("p", 39)
+    edges += [(f"p{i}", f"l{i}_{j}") for i in range(40) for j in range(3)]
+    g = graph_of(edges + [("x", "y")])
+    runs = []
+    bfs_stats = _kernels.bfs_stats
+
+    def spy(indptr, indices, sources, leaves=None):
+        runs.append(len(sources))
+        return bfs_stats(indptr, indices, sources, leaves)
+
+    monkeypatch.setattr(_kernels, "bfs_stats", spy)
+    for width in (64, 512):
+        monkeypatch.setattr(_kernels, "BATCH_SOURCES", width)
+        runs.clear()
+        assert shortest_path_stats(g, mode="undirected", sample_sources=120, seed=3) \
+            == oracle_undirected(g, 120, 3)
+        assert giant_component_paths(g, sample_sources=100, seed=4) \
+            == oracle_giant(g, 100, 4)
+        assert runs[0] < 120 and runs[1] < 100
+
+
 def test_hub_with_more_than_256_leaves(monkeypatch):
     # 300 leaves need nine bit planes; a second anchor with 5 leaves and a
     # tail make the diametral pair a hub leaf and the tail's end.

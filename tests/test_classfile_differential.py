@@ -31,8 +31,8 @@ from jarnet.extractor import extract_archive, extract_calls
 from jarnet.names import ExtractStats
 
 # Each table of a jarnet pool, and the oracle lookup that reads the same kind.
-TABLES = ("tags", "utf8s", "classes", "nats", "field_refs", "method_refs")
-LOOKUPS = ("tag", "utf8", "class_name", "name_and_type", "field_ref", "method_ref")
+TABLES = ("tags", "utf8s", "classes", "field_refs", "method_refs")
+LOOKUPS = ("tag", "utf8", "class_name", "field_ref", "method_ref")
 
 
 def rich_go():
