@@ -46,7 +46,9 @@ never approximated.
     order. Keys tie only for the same child, whose parents are different
     accumulators, so the order of ties changes no bit. Any other order
     (a level unsorted or ascending, or a pairwise reduction) changes the
-    last bits;
+    last bits. The sort key is ``top - position`` as ``uint16`` when the
+    level's last position ``top`` is below 2^16, which numpy's stable sort
+    orders by radix, and ``-position`` otherwise; both give one order;
   * each source's own delta is zeroed, and the batch's delta rows are
     added to the scores in source order.
 
@@ -114,7 +116,7 @@ def _bfs_batch(indptr, indices, rows, batch, leaves):
     live, nbr, starts = rows, indices, indptr[rows]
     total = pairs = folded = level = far = 0
     while True:
-        reached = np.bitwise_or.reduceat(frontier[nbr], starts, axis=0)
+        reached = np.bitwise_or.reduceat(np.take(frontier, nbr, axis=0), starts, axis=0)
         seen = visited[live]
         reached &= ~seen
         count = _popcount(reached)
@@ -221,7 +223,9 @@ def brandes(indptr, indices):
             mark[reached] = np.arange(reached.shape[0])
             slot = mark[cand]
             sigma[reached] = np.bincount(slot, weights=sigma[parent])
-            order = np.argsort(-slot, kind="stable")
+            top = reached.shape[0] - 1
+            key = (top - slot).astype(np.uint16) if top < 1 << 16 else -slot
+            order = np.argsort(key, kind="stable")
             edges.append((parent[order], cand[order]))
             frontier = reached
         for v, w in reversed(edges):

@@ -221,5 +221,8 @@ def run() -> None:
     """The process entry of ``python -m jarnet`` and the ``jarnet`` script."""
     # What start-up loaded lives until exit, so no collection needs to walk
     # it; main() alone, as tests and library callers use it, freezes nothing.
+    # The second freeze keeps what main() loaded out of the exit collection.
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -70,38 +70,56 @@ def _local_move(adj, k, two_m, order, init=None):
     Returns (community per vertex, whether any vertex moved).
     Sweeps end once n visits in a row, across sweeps, moved nothing: all
     saw one state (``tot`` sums are exact), so no later visit would move.
+
+    ``inner[i]`` maps each community next to i to i's edge weight into it
+    (exact in any order, like ``tot``); a move updates its neighbours'. A
+    vertex moves iff some community beats staying by more than ``_GAIN_EPS``;
+    only then is ``adj[i]`` read, and a tie goes to the community met first.
     """
     n = len(adj)
     comm = list(init) if init is not None else list(range(n))
     tot = [0.0] * (max(comm) + 1)
     for i in range(n):
         tot[comm[i]] += k[i]
+    if init is None:
+        inner = [dict(row) for row in adj]
+    else:
+        inner = [{} for _ in range(n)]
+        for row, to in zip(adj, inner):
+            for j, w in row.items():
+                to[comm[j]] = to.get(comm[j], 0.0) + w
     moved_any = False
     quiet = 0
     while quiet < n:
         for i in order:
-            ci = comm[i]
-            w_to: dict[int, float] = {}
-            for j, w in adj[i].items():
-                cj = comm[j]
-                w_to[cj] = w_to.get(cj, 0.0) + w
-            tot[ci] -= k[i]
-            best_c = ci
-            best_gain = w_to.pop(ci, 0.0) - tot[ci] * k[i] / two_m
-            for c, w in w_to.items():
-                gain = w - tot[c] * k[i] / two_m
-                if gain > best_gain + _GAIN_EPS:
-                    best_gain = gain
-                    best_c = c
-            tot[best_c] += k[i]
-            if best_c != ci:
-                comm[i] = best_c
-                moved_any = True
-                quiet = 0
+            ci, ki, to = comm[i], k[i], inner[i]
+            bar = to.get(ci, 0.0) - (tot[ci] - ki) * ki / two_m + _GAIN_EPS
+            for c, w in to.items():
+                if w - tot[c] * ki / two_m > bar and c != ci:
+                    break
             else:
                 quiet += 1
                 if quiet == n:
                     break
+                continue
+            tot[ci] -= ki
+            best_c, best_gain = ci, to.get(ci, 0.0) - tot[ci] * ki / two_m
+            # A community met again, ci included, cannot beat best_gain.
+            for j in adj[i]:
+                c = comm[j]
+                gain = to[c] - tot[c] * ki / two_m
+                if gain > best_gain + _GAIN_EPS:
+                    best_gain, best_c = gain, c
+            tot[best_c] += ki
+            comm[i] = best_c
+            moved_any = True
+            quiet = 0
+            for j, w in adj[i].items():
+                row = inner[j]
+                left = row.pop(ci) - w
+                if left:  # a community with no edge to j is no candidate
+                    row[ci] = left
+                row[best_c] = row.get(best_c, 0.0) + w
     return comm, moved_any
 
 

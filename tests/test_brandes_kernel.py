@@ -144,3 +144,39 @@ def test_scores_match_networkx(index):
         ref = nx.betweenness_centrality(graph, normalized=False)
         expected = np.array([ref[v] for v in range(g.n)])
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=1e-12)
+
+
+def ring_digraph(layers: int = 6, width: int = 120, out: int = 3) -> DirectedGraph:
+    """Layers in a ring, each vertex with ``out`` random successors in the
+    next layer: every vertex reaches the others by many unequal numbers of
+    shortest paths, over levels as wide as a layer."""
+    rng = np.random.default_rng(5)
+    g = DirectedGraph()
+    for v in range(layers * width):
+        g.add_vertex(f"r{v}")
+    for layer in range(layers):
+        ahead = (layer + 1) % layers * width
+        for u in range(layer * width, (layer + 1) * width):
+            for v in rng.choice(width, size=out, replace=False).tolist():
+                g.add_edge(u, ahead + v)
+    return g
+
+
+def test_wide_levels_sort_by_the_signed_key_to_the_same_bits(monkeypatch):
+    # A batch level of more than 65,536 entries cannot take the 16-bit key
+    # and sorts by -slot instead. With 1 << 20 entries a batch holds every
+    # source, and a level of all of them exceeds that; with 1 << 12, every
+    # level takes the 16-bit key. Both give the same bits.
+    indptr, indices = ring_digraph().to_csr()
+    keys = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, **kw: keys.append(a.dtype) or argsort(a, **kw))
+    scores = {}
+    for entries in (1 << 12, 1 << 20):
+        keys.clear()
+        monkeypatch.setattr(_kernels, "BATCH_ENTRIES", entries)
+        scores[entries] = _kernels.brandes(indptr, indices)
+        assert (np.int64 in keys) == (entries == 1 << 20)
+        assert np.uint16 in keys
+    assert_bits_equal(scores[1 << 12], scores[1 << 20])

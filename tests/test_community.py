@@ -215,6 +215,46 @@ def test_local_move_visits_every_vertex_before_stopping():
     assert got == ([0] * 4 + [1] * 4, True)
 
 
+class Sweeps:
+    """A visit order that fails once a phase sweeps it more than ``limit``
+    times, so a phase that never settles fails instead of hanging."""
+
+    def __init__(self, order, limit=10):
+        self.order, self.limit, self.count = order, limit, 0
+
+    def __iter__(self):
+        self.count += 1
+        assert self.count <= self.limit, "the phase did not settle"
+        return iter(self.order)
+
+
+def test_local_move_drops_a_community_whose_weight_falls_to_zero():
+    # x = 0 sits with y = 1, which it has no edge to; its one neighbour
+    # j = 2 leaves community 1 for z = 3's, so x's weight into the emptied
+    # community 1 falls to exactly 0.0. Staying gains -2*3/16 and joining
+    # community 1 would gain 0, but x has no edge into it: the oracle keeps
+    # x where it is, and a kept zero entry would pull x out forever.
+    adj = [{2: 1.0}, {}, {0: 1.0, 3: 5.0}, {2: 5.0}]
+    k = [3.0, 2.0, 6.0, 5.0]
+    order, init = [2, 0, 1, 3], [0, 0, 1, 2]
+    got = community._local_move(adj, k, 16.0, Sweeps(order), init=init)
+    want = louvain_oracle._local_move(adj, k, 16.0, 1.0, order, init=init)
+    assert got == want == ([0, 0, 2, 2], True)
+
+
+def test_local_move_breaks_ties_by_first_appearance_in_adj():
+    # a = 1 joins c = 3 first, so x = 0's weights become {2: 1.0, 3: 1.0}
+    # in the order they were last changed, while adj[0] meets community 3
+    # (through a) before community 2 (through b). Both gain 1 - 7*2/16, and
+    # the first in adj[0] wins.
+    adj = [{1: 1.0, 2: 1.0}, {0: 1.0, 3: 3.0}, {0: 1.0}, {1: 3.0}]
+    k = [2.0, 4.0, 7.0, 3.0]
+    order = [1, 0, 2, 3]
+    got = community._local_move(adj, k, 16.0, Sweeps(order))
+    want = louvain_oracle._local_move(adj, k, 16.0, 1.0, order)
+    assert got == want == ([3, 3, 2, 3], True)
+
+
 # -- size distribution ------------------------------------------------------------
 
 def test_community_size_distribution():

@@ -61,6 +61,14 @@ def test_louvain_matches_oracle_on_300_classes(graph_300, seed):
     assert_same_partition(graph_300, seed=seed)
 
 
+# The benchmark's size: 80-class archives, built with prefix app.
+@pytest.mark.parametrize("seed", range(5))
+def test_louvain_matches_oracle_on_80_classes(tmp_path, seed):
+    jar = tmp_path / "app.jar"
+    jar.write_bytes(synthetic_jar(n_classes=80, seed=seed))
+    assert_same_partition(build_graph(extract_archive(jar), "app"), seed=seed)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_modularity_matches_oracle_for_any_labels(seed):
     rng = random.Random(seed)

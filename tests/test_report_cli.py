@@ -551,7 +551,7 @@ def test_run_freezes_once_then_exits_with_mains_code(monkeypatch, capsys):
         with pytest.raises(SystemExit) as exited:
             cli.run()
         assert exited.value.code == code, argv
-        assert calls == ["freeze", "main"], argv
+        assert calls == ["freeze", "main", "freeze"], argv
     capsys.readouterr()
 
 
