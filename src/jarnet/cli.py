@@ -174,12 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--threads", type=_int_at_least(1), default=None,
                            help="accepted for compatibility; no effect, "
                                 "every analysis kernel is single-threaded numpy")
-    paths = p_analyze.add_mutually_exclusive_group()
-    paths.add_argument("--exact-paths", action="store_true",
-                       help="all-sources path statistics (default)")
-    paths.add_argument("--sampled-paths", type=_int_at_least(1), metavar="K",
-                       default=None,
-                       help="estimate path statistics from K seeded sources")
+    p_analyze.add_argument("--sampled-paths", type=_int_at_least(1),
+                           metavar="K", default=None,
+                           help="estimate path statistics from K seeded "
+                                "sources (default: every vertex is a source)")
     p_analyze.add_argument("--skip", action="append", choices=STAGES,
                            default=None, metavar="STAGE",
                            help=f"skip a stage ({', '.join(STAGES)}); "

@@ -67,7 +67,7 @@ def _local_move(adj, k, two_m, order, init=None):
     """One Louvain phase: greedy single-vertex moves until stable.
 
     adj: per-vertex dict neighbor -> weight (no self entries).
-    Returns (community per vertex, whether any vertex moved).
+    Returns the community per vertex.
     Sweeps end once n visits in a row, across sweeps, moved nothing: all
     saw one state (``tot`` sums are exact), so no later visit would move.
 
@@ -88,7 +88,6 @@ def _local_move(adj, k, two_m, order, init=None):
         for row, to in zip(adj, inner):
             for j, w in row.items():
                 to[comm[j]] = to.get(comm[j], 0.0) + w
-    moved_any = False
     quiet = 0
     while quiet < n:
         for i in order:
@@ -112,7 +111,6 @@ def _local_move(adj, k, two_m, order, init=None):
                     best_gain, best_c = gain, c
             tot[best_c] += ki
             comm[i] = best_c
-            moved_any = True
             quiet = 0
             for j, w in adj[i].items():
                 row = inner[j]
@@ -120,7 +118,7 @@ def _local_move(adj, k, two_m, order, init=None):
                 if left:  # a community with no edge to j is no candidate
                     row[ci] = left
                 row[best_c] = row.get(best_c, 0.0) + w
-    return comm, moved_any
+    return comm
 
 
 def _renumber(comm):
@@ -207,24 +205,23 @@ def _one_run(adj0, k0, two_m, rng):
     while True:
         order = list(range(len(adj)))
         rng.shuffle(order)
-        comm, moved = _local_move(adj, k, two_m, order)
-        dense, n_comms = _renumber(comm)
-        if not moved or n_comms == len(adj):
+        dense, n_comms = _renumber(_local_move(adj, k, two_m, order))
+        if n_comms == len(adj):  # from singletons a move only merges: none moved
             break
         membership = [dense[membership[v]] for v in range(n0)]
         adj, k = _aggregate(adj, k, dense, n_comms)
     order = list(range(n0))
     rng.shuffle(order)
-    return _local_move(adj0, k0, two_m, order, init=membership)[0]
+    return _local_move(adj0, k0, two_m, order, init=membership)
 
 
 def louvain(g, seed: int = 0) -> Partition:
     """Greedy modularity optimization with seeded vertex orders.
 
-    Runs ``_RESTARTS`` independent pipelines (sub-seeded from ``seed``) and
-    keeps the one with the highest :func:`modularity`, the q it reports.
-    Graphs with at most ``_EXACT_LIMIT`` vertices skip the heuristic and are
-    solved exactly by enumeration.
+    Each candidate is scored once by :func:`modularity`, and the first of
+    highest score wins with that score as q. The candidates are ``_RESTARTS``
+    pipelines sub-seeded from ``seed``, or the exact optimum by enumeration
+    for at most ``_EXACT_LIMIT`` vertices, or every vertex alone if edgeless.
     """
     if g.n == 0:
         raise EmptyGraph("community detection needs at least one vertex")
@@ -237,23 +234,20 @@ def louvain(g, seed: int = 0) -> Partition:
     ]
     k0 = proj.degrees().astype(np.float64).tolist()
     two_m = 2.0 * proj.m
-    best: list[int] = list(range(n))
-    if two_m > 0 and n <= _EXACT_LIMIT:
-        best = _exact_partition(adj0, k0, two_m)
-    elif two_m > 0:
+    if two_m == 0:
+        runs = [list(range(n))]
+    elif n <= _EXACT_LIMIT:
+        runs = [_exact_partition(adj0, k0, two_m)]
+    else:
         master = random.Random(seed)
-        best_obj = -math.inf
-        for _ in range(_RESTARTS):
-            rng = random.Random(master.randrange(2**63))
-            membership = _one_run(adj0, k0, two_m, rng)
-            obj = modularity(proj, membership)
-            if obj > best_obj:
-                best_obj = obj
-                best = membership
-    assignments_list, n_communities = _renumber(best)
-    assignments = np.asarray(assignments_list, dtype=np.int64)
-    q = modularity(proj, assignments)
-    return Partition(assignments=assignments, n_communities=n_communities, q=q)
+        runs = (_one_run(adj0, k0, two_m, random.Random(master.randrange(2**63)))
+                for _ in range(_RESTARTS))
+    # modularity renumbers its input, so q is the renumbered winner's score.
+    q, best = max(((modularity(proj, run), run) for run in runs),
+                  key=lambda scored: scored[0])
+    assignments, n_communities = _renumber(best)
+    return Partition(assignments=np.asarray(assignments, dtype=np.int64),
+                     n_communities=n_communities, q=q)
 
 
 def community_size_distribution(partition: Partition, top: int = 10) -> CommunitySizeReport:

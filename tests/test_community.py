@@ -119,6 +119,24 @@ def test_louvain_assignments_contract():
     assert part.q == pytest.approx(modularity(g, part.assignments), abs=1e-15)
 
 
+@pytest.mark.parametrize("g, candidates", [
+    pytest.param(clique_pair(5), community._RESTARTS, id="greedy"),
+    pytest.param(clique_pair(4), 1, id="exact"),
+    pytest.param(digraph([], n_hint=12), 1, id="edgeless"),
+])
+def test_louvain_scores_each_candidate_once(monkeypatch, g, candidates):
+    scores = []
+
+    def counted(*args):
+        scores.append(modularity(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(community, "modularity", counted)
+    part = louvain(g, seed=3)
+    assert len(scores) == candidates
+    assert part.q == max(scores)
+
+
 def test_louvain_seed_determinism():
     rng = random.Random(23)
     g = random_digraph(40, 0.08, rng)
@@ -174,7 +192,7 @@ def test_local_move_phase_matches_oracle(density):
         init = [rng.randrange(labels) for _ in range(n)] if labels < n else None
         got = community._local_move(adj, k, two_m, order, init=init)
         want = louvain_oracle._local_move(adj, k, two_m, 1.0, order, init=init)
-        assert got == want
+        assert got == want[0]
 
 
 def test_aggregate_phase_matches_oracle():
@@ -212,7 +230,7 @@ def test_local_move_visits_every_vertex_before_stopping():
     order = [0, 1, 2, 4, 5, 6, 7, 3]
     got = community._local_move(adj, [3.0] * 8, 24.0, order,
                                 init=[0, 0, 0, 1, 1, 1, 1, 1])
-    assert got == ([0] * 4 + [1] * 4, True)
+    assert got == [0] * 4 + [1] * 4
 
 
 class Sweeps:
@@ -239,7 +257,7 @@ def test_local_move_drops_a_community_whose_weight_falls_to_zero():
     order, init = [2, 0, 1, 3], [0, 0, 1, 2]
     got = community._local_move(adj, k, 16.0, Sweeps(order), init=init)
     want = louvain_oracle._local_move(adj, k, 16.0, 1.0, order, init=init)
-    assert got == want == ([0, 0, 2, 2], True)
+    assert (got, True) == want == ([0, 0, 2, 2], True)
 
 
 def test_local_move_breaks_ties_by_first_appearance_in_adj():
@@ -252,7 +270,7 @@ def test_local_move_breaks_ties_by_first_appearance_in_adj():
     order = [1, 0, 2, 3]
     got = community._local_move(adj, k, 16.0, Sweeps(order))
     want = louvain_oracle._local_move(adj, k, 16.0, 1.0, order)
-    assert got == want == ([3, 3, 2, 3], True)
+    assert (got, True) == want == ([3, 3, 2, 3], True)
 
 
 # -- size distribution ------------------------------------------------------------

@@ -113,6 +113,10 @@ DOCUMENTS = {
         '<edges><edge source="0" target="1"/></edges>'
         '<edges><edge source="0" target="9"/></edges></graph>'
         f'<graph><nodes>{node(0, "z")}</nodes></graph></gexf>', True),
+    "edges_before_nodes": (
+        f'<gexf {NS}><graph defaultedgetype="directed"><edges><edge source="0" target="1"/>'
+        '<edge source="2" target="0" type="undirected"/></edges>'
+        f'<nodes>{node(0, "a")}{node(1, "b")}{node(2, "c")}</nodes></graph></gexf>', True),
     "node_without_label": (
         f'<gexf {NS}><graph><nodes><node id="pkg.K::m"/>{node("n2")}</nodes></graph></gexf>',
         True),
@@ -193,6 +197,7 @@ def test_layout_semantics(tmp_path):
     assert load("later_kind_declaration_wins").kinds == ["one"]
     g = load("second_graph_nodes_and_edges_ignored")
     assert (g.labels, list(g.edges())) == (["a", "b"], [(0, 1)])
+    assert list(load("edges_before_nodes").edges()) == [(0, 1), (0, 2), (2, 0)]
     g = load("node_without_label")
     assert (g.labels, g.kinds) == (["pkg.K::m", "n2"], ["method", "class"])
     g = load("misplaced_known_elements")

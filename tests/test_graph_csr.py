@@ -105,6 +105,31 @@ def test_erdos_renyi_matches_set_oracle(n, p, seed):
     assert_csr_equal(got.to_csr(), want.to_csr())
 
 
+class FewDraws:
+    """A numpy Generator whose ``geometric`` returns at most 3 draws a call,
+    so that ``erdos_renyi`` has to draw batch after batch."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        return self.rng.geometric(p, size=min(size, 3))
+
+
+@pytest.mark.parametrize("n, p, seed", [(30, 0.3, 0), (60, 0.9, 1), (200, 0.02, 2),
+                                        (300, 0.03, 7)])
+def test_erdos_renyi_gives_the_same_graph_over_many_batches(monkeypatch, n, p, seed):
+    want = erdos_renyi(n, p, seed=seed)
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: made.append(FewDraws(default_rng(s))) or made[-1])
+    got = erdos_renyi(n, p, seed=seed)
+    assert len(made) == 1 and made[0].calls * 3 > want.m
+    assert list(got.edges()) == list(want.edges())
+    assert_csr_equal(got.to_csr(), want.to_csr())
+
+
 def test_undirected_graph_symmetrizes_and_drops_loops():
     g = UndirectedGraph(["a", "b", "c", "d"], [0, 1, 2, 2, 3], [1, 0, 2, 0, 0])
     assert (g.n, g.m) == (4, 3)

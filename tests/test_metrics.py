@@ -7,14 +7,18 @@ import random
 import numpy as np
 import pytest
 
+from jarnet.centrality import betweenness, pagerank
+from jarnet.community import louvain, modularity
 from jarnet.errors import EmptyGraph
 from jarnet.graph import DirectedGraph, undirected_projection
 from jarnet.metrics import (
     avg_clustering,
     components,
     degrees,
+    giant_component_paths,
     shortest_path_stats,
 )
+from jarnet.topology import small_world_test
 
 
 def digraph(edges, n_hint=0) -> DirectedGraph:
@@ -246,8 +250,29 @@ def test_component_labels_dense_first_seen():
 
 def test_empty_graph_raises_everywhere():
     g = DirectedGraph()
-    for fn in (avg_clustering, components):
-        with pytest.raises(EmptyGraph):
+    for fn, message in [
+        (avg_clustering, "clustering needs at least one vertex"),
+        (components, "component analysis needs at least one vertex"),
+        (shortest_path_stats, "path statistics need at least one vertex"),
+        (giant_component_paths, "path statistics need at least one vertex"),
+        (betweenness, "betweenness needs at least one vertex"),
+        (pagerank, "pagerank needs at least one vertex"),
+        (louvain, "community detection needs at least one vertex"),
+    ]:
+        with pytest.raises(EmptyGraph) as raised:
             fn(g)
-    with pytest.raises(EmptyGraph):
-        shortest_path_stats(g)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("fn", [
+    components, avg_clustering, shortest_path_stats, giant_component_paths,
+    betweenness, pagerank, louvain,
+    lambda g: modularity(g, np.arange(g.n) % 3),
+    lambda g: small_world_test(g, replicates=2, seed=1),
+], ids=["components", "avg_clustering", "shortest_path_stats", "giant_component_paths",
+        "betweenness", "pagerank", "louvain", "modularity", "small_world_test"])
+def test_analysis_functions_take_the_projection(fn):
+    # degrees and degree_histogram count in- and out-degrees, so they alone
+    # need the DirectedGraph.
+    proj = random_digraph(30, 0.1, random.Random(40)).undirected()
+    fn(proj)

@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline: exit codes, files, reports, determinism."""
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import runpy
@@ -91,6 +92,18 @@ def test_usage_errors_exit_1(capsys):
     assert run(["report", "x.json", "--format", "bogus"], capsys)[0] == 1
 
 
+def test_every_subcommand_option_is_read():
+    # --threads is accepted for compatibility and ignored, as the README says.
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    unread = [f"{name} {action.dest}"
+              for name, sub in subcommands.choices.items() for action in sub._actions
+              if action.dest not in ("help", "threads")
+              and f"args.{action.dest}" not in source]
+    assert unread == []
+
+
 # -- build --------------------------------------------------------------------
 
 def _extract_and_build(jar, tmp_path, capsys, prefix="sample"):
@@ -155,6 +168,13 @@ def test_build_empty_table_valid_empty_gexf(tmp_path, capsys):
     gexf = tmp_path / "empty.gexf"
     assert run(["build", str(table), "-o", str(gexf)], capsys)[0] == 0
     assert import_gexf(gexf).n == 0
+
+
+def test_build_empty_table_file_exits_2(tmp_path, capsys):
+    table = tmp_path / "none.csv"
+    table.write_text("", encoding="utf-8")
+    code, _, stderr = run(["build", str(table), "-o", str(tmp_path / "g.gexf")], capsys)
+    assert (code, stderr) == (2, f"error: {table}: empty table\n")
 
 
 def test_build_oversized_field_exits_2(tmp_path, capsys):
@@ -482,6 +502,14 @@ def test_report_bad_json_exits_2(tmp_path, capsys):
     code, _, stderr = run(["report", str(bad)], capsys)
     assert code == 2
     assert stderr
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"'])
+def test_report_of_json_that_is_no_object_exits_2(tmp_path, capsys, text):
+    rep = tmp_path / "r.json"
+    rep.write_text(text, encoding="utf-8")
+    code, _, stderr = run(["report", str(rep)], capsys)
+    assert (code, stderr) == (2, f"error: {rep}: not a valid report file\n")
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
