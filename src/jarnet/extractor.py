@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import struct
 import zipfile
-from operator import add
 from pathlib import Path
 
 from .classfile import ClassUnit, parse_class
@@ -74,9 +73,9 @@ _I4I4 = struct.Struct(">ii").unpack_from
 # unresolvable site, or note the class of a field ref or class constant.
 # Every other opcode (None) is only walked over.
 _INVOKE, _DYNAMIC, _FIELD, _CLASS = range(4)
+_INVOKES = (OP_INVOKEVIRTUAL, OP_INVOKESPECIAL, OP_INVOKESTATIC, OP_INVOKEINTERFACE)
 _SITE_OF = {
-    **dict.fromkeys((OP_INVOKEVIRTUAL, OP_INVOKESPECIAL, OP_INVOKESTATIC,
-                     OP_INVOKEINTERFACE), _INVOKE),
+    **dict.fromkeys(_INVOKES, _INVOKE),
     OP_INVOKEDYNAMIC: _DYNAMIC,
     **dict.fromkeys((OP_GETSTATIC, OP_PUTSTATIC, OP_GETFIELD, OP_PUTFIELD), _FIELD),
     **dict.fromkeys((OP_NEW, OP_ANEWARRAY, OP_CHECKCAST, OP_INSTANCEOF,
@@ -97,6 +96,12 @@ def classify_callee(opcode: int, method_name: str) -> UnitKind:
     if opcode == OP_INVOKEINTERFACE:
         return UnitKind.INTERFACE
     raise UnknownOpcode(f"opcode 0x{opcode:02x} is not a classified call")
+
+
+# Kinds bound once, as UnitKind.X is slow on Python 3.11. _CALLEE_KINDS is
+# classify_callee by opcode: [0] for a callee not named <init>, [1] for <init>.
+_CALLEE_KINDS = [{op: classify_callee(op, name) for op in _INVOKES} for name in ("", "<init>")]
+_METHOD_KIND, _CLASS_KIND = UnitKind.METHOD, UnitKind.CLASS
 
 
 def _element_class(internal: str) -> str | None:
@@ -146,7 +151,7 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
         if element is not None and element != unit.name:
             class_refs.setdefault(element, None)
 
-    lengths, sites = _LENGTHS, _SITES
+    lengths, sites, callee_kinds = _LENGTHS, _SITES, _CALLEE_KINDS
     for method in unit.methods:
         code = method.code
         if code is None:
@@ -181,9 +186,9 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
                     if caller is None:
                         caller = QualifiedName.from_internal(unit.name, method.name,
                                                              method.descriptor)
-                    kind = classify_callee(op, name)
                     callee = QualifiedName.from_internal(cls, name, desc)
-                    records.append(CallRecord(UnitKind.METHOD, caller, kind, callee))
+                    records.append(CallRecord(_METHOD_KIND, caller,
+                                              callee_kinds[name == "<init>"][op], callee))
                 elif site == _DYNAMIC:
                     # no resolvable target class: the pool entry names a
                     # bootstrap method, not a callee
@@ -202,7 +207,7 @@ def extract_calls(unit: ClassUnit) -> tuple[list[CallRecord], ExtractStats]:
 
     caller_cls = QualifiedName.from_internal(unit.name)
     for internal in class_refs:
-        records.append(CallRecord(UnitKind.CLASS, caller_cls, UnitKind.CLASS,
+        records.append(CallRecord(_CLASS_KIND, caller_cls, _CLASS_KIND,
                                   QualifiedName.from_internal(internal)))
     stats = ExtractStats(entries_scanned=1, call_sites=call_sites,
                          unresolved_sites=unresolved_sites, class_refs=len(class_refs),
@@ -243,16 +248,17 @@ def extract_archive(path, tolerant: bool = False) -> RelationTable:
     whose stats sum the per-class counters field by field."""
     skipped: list[str] = []  # entry names
     records: list[CallRecord] = []
-    stats = ExtractStats()
+    class_stats: list[ExtractStats] = []
     for name, data in open_archive(path, tolerant=tolerant,
                                    on_skip=lambda entry, _exc: skipped.append(entry)):
         try:
-            class_records, class_stats = extract_calls(parse_class(data, entry=name))
+            class_records, stats = extract_calls(parse_class(data, entry=name))
         except ClassFormatError as exc:
             if not tolerant:
                 raise EntryDecodeError(f"{name}: {exc}") from exc
             skipped.append(name)
             continue
         records.extend(class_records)
-        stats = ExtractStats(*map(add, stats, class_stats))
+        class_stats.append(stats)
+    stats = ExtractStats(*map(sum, zip(*class_stats)))
     return RelationTable(records, stats._replace(entries_skipped=len(skipped)))

@@ -11,6 +11,8 @@ from .names import METHOD_SEP, QualifiedName, RelationTable, UnitKind
 
 __all__ = ["DirectedGraph", "UndirectedGraph", "undirected_projection", "build_graph"]
 
+_CLASS_KIND = UnitKind.CLASS  # bound once: UnitKind.X is slow on Python 3.11
+
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """Row offsets of a CSR whose entries, sorted by row, have these rows."""
@@ -173,7 +175,8 @@ def build_graph(table: RelationTable, package_prefix: str = "",
     yields a single (callerClass -> calleeClass) edge.
     """
     g = DirectedGraph()
-    add = g.add_edge_labels
+    # Endpoints come from the label index; add_vertex adds a new one, or finds vertex 0.
+    ids, keys, kinds, vertex = g._ids, g._keys, g.kinds, g.add_vertex
     # _labels of each distinct name: a table names each unit on many rows.
     seen: dict[QualifiedName, tuple[str, ...]] = {}
     odd: set[str] = set()  # class labels holding "::", which add_vertex takes for methods
@@ -186,19 +189,19 @@ def build_graph(table: RelationTable, package_prefix: str = "",
             theirs = seen[callee] = _labels(callee, package_prefix, with_descriptors, odd)
         if not (ours and theirs):
             continue
-        if caller_kind is UnitKind.CLASS:
-            add(ours[0], theirs[0])
+        src = ids.get(ours[0]) or vertex(ours[0])
+        if caller_kind is _CLASS_KIND:
+            keys.add(src << 32 | (ids.get(theirs[0]) or vertex(theirs[0])))
         else:
             callee_label, callee_class_label = theirs
-            add(ours[0], callee_class_label)
-            if ours[1] == callee_class_label:
-                add(ours[0], callee_label)
-            else:
-                add(callee_class_label, callee_label)
+            cls = ids.get(callee_class_label) or vertex(callee_class_label)
+            dst = ids.get(callee_label) or vertex(callee_label)
+            keys.add(src << 32 | cls)
+            keys.add((src if ours[1] == callee_class_label else cls) << 32 | dst)
         if odd:  # a class row's two classes and a method row's callee class are vertices
-            for label in (ours[1], theirs[1]) if caller_kind is UnitKind.CLASS else (theirs[1],):
+            for label in (ours[1], theirs[1]) if caller_kind is _CLASS_KIND else (theirs[1],):
                 if label in odd:
-                    g.kinds[g.add_vertex(label)] = "class"
+                    kinds[ids[label]] = "class"
     return g
 
 
@@ -209,7 +212,8 @@ def _labels(qn: QualifiedName, prefix: str, with_descriptors: bool,
     package = qn.package
     if prefix and package != prefix and not package.startswith(prefix + "."):
         return ()
-    if METHOD_SEP in qn.class_name:
-        odd.add(qn.class_name)
-    return qn.render(with_descriptors), qn.class_name
+    class_name = qn.class_name
+    if METHOD_SEP in class_name:
+        odd.add(class_name)
+    return qn.render(with_descriptors), class_name
 

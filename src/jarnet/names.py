@@ -33,6 +33,15 @@ class UnitKind(Enum):
     STATIC = "S"
     CLASS = "C"
 
+    __hash__ = object.__hash__  # members are singletons equal only to themselves
+
+
+# Python 3.11 routes ``UnitKind.X`` through a slow EnumType.__getattr__
+# hook, so per-record code reads kinds and letters bound once here.
+_CLASS_KIND = UnitKind.CLASS
+_LETTERS = {kind: kind.value for kind in UnitKind}
+_KINDS = {kind.value: kind for kind in UnitKind}
+
 
 class QualifiedName(NamedTuple):
     """A package-qualified class, optionally narrowed to one method."""
@@ -47,12 +56,12 @@ class QualifiedName(NamedTuple):
         return f"{self.package}.{self.cls}" if self.package else self.cls
 
     def render(self, with_descriptor: bool = False) -> str:
-        text = self.class_name
-        if self.method is not None:
-            text += METHOD_SEP + self.method
-            if with_descriptor and self.descriptor is not None:
-                text += self.descriptor
-        return text
+        package, text, method, descriptor = self
+        if package:
+            text = f"{package}.{text}"
+        if method is None:
+            return text
+        return f"{text}{METHOD_SEP}{method}{with_descriptor and descriptor or ''}"
 
     @staticmethod
     def from_internal(internal: str, method: str | None = None,
@@ -98,8 +107,8 @@ class CallRecord(_CallFields):
 
     def __new__(cls, caller_kind: UnitKind, caller: QualifiedName,
                 callee_kind: UnitKind, callee: QualifiedName) -> "CallRecord":
-        class_level = caller_kind is UnitKind.CLASS
-        if class_level != (callee_kind is UnitKind.CLASS):
+        class_level = caller_kind is _CLASS_KIND
+        if class_level != (callee_kind is _CLASS_KIND):
             raise MalformedRecord("class-level records must be C on both sides")
         if class_level:
             if caller.method is not None or callee.method is not None:
@@ -144,17 +153,15 @@ def _delimiter(path: Path, format: str | None) -> str:
 def write_relation_table(table: RelationTable, path, format: str | None = None,
                          with_descriptors: bool = False) -> None:
     delim = _delimiter(path, format)
-    letters = {kind: kind.value for kind in UnitKind}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delim, lineterminator="\n")
         writer.writerow(_HEADER)
-        writer.writerows((letters[caller_kind], caller.render(with_descriptors),
-                          letters[callee_kind], callee.render(with_descriptors))
+        writer.writerows((_LETTERS[caller_kind], caller.render(with_descriptors),
+                          _LETTERS[callee_kind], callee.render(with_descriptors))
                          for caller_kind, caller, callee_kind, callee in table.records)
 
 
 def read_relation_table(path) -> RelationTable:
-    kinds = {kind.value: kind for kind in UnitKind}
     # A table names each unit on many rows. QualifiedName is frozen, so
     # rows that spell a name alike share one parsed instance. A C row names
     # classes, which may hold "::" (JVMS 4.2.1): those split at the last ".".
@@ -169,12 +176,6 @@ def read_relation_table(path) -> RelationTable:
         return QualifiedName(package, cls)
 
     name_of, class_of = cached(QualifiedName.parse), cached(parse_class)
-
-    def kind_of(letter: str) -> UnitKind:
-        kind = kinds.get(letter)
-        if kind is None:
-            raise MalformedRecord(f"{letter!r} is not a valid UnitKind")
-        return kind
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -193,8 +194,11 @@ def read_relation_table(path) -> RelationTable:
                     raise MalformedRecord(f"{path}:{lineno}: expected 4 columns")
                 try:
                     parse = class_of if row[0] == "C" else name_of
-                    records.append(CallRecord(kind_of(row[0]), parse(row[1]),
-                                              kind_of(row[2]), parse(row[3])))
+                    records.append(CallRecord(_KINDS[row[0]], parse(row[1]),
+                                              _KINDS[row[2]], parse(row[3])))
+                except KeyError as exc:  # only _KINDS raises it
+                    raise MalformedRecord(f"{path}:{lineno}: {exc.args[0]!r} "
+                                          "is not a valid UnitKind") from exc
                 except MalformedRecord as exc:
                     raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
         except csv.Error as exc:

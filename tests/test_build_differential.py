@@ -99,3 +99,52 @@ def test_build_graph_matches_the_oracle_built_by_the_rules(tmp_path, name, prefi
     assert g.m == want.m
     if name != "sample" or not prefix:  # no class of the sample sits under "app"
         assert g.m > 0
+
+
+def odd_table() -> RelationTable:
+    """Class names holding "::" (JVMS 4.2.1), one of them spelled like a
+    method label, beside rows the "app" prefix drops, repeated endpoints
+    and calls inside one class. A synthetic jar makes none of these names."""
+    odd = QualifiedName("app", "Odd::Name")
+    twin = QualifiedName("app", "A::f")              # renders as app.A's method f
+    return RelationTable([
+        call("app.A::f", "app.B::g"),                # app.A::f is vertex 0
+        CallRecord(UnitKind.CLASS, odd, UnitKind.CLASS, QualifiedName.parse("app.B")),
+        CallRecord(UnitKind.METHOD, odd._replace(method="run"), UnitKind.METHOD,
+                   odd._replace(method="stop")),     # inside the odd class
+        call("app.B::g", "app.B::h"),                # inside one class
+        CallRecord(UnitKind.METHOD, QualifiedName.parse("app.B::g"), UnitKind.STATIC,
+                   odd._replace(method="run")),      # the odd class as a callee class
+        call("lib.C::x", "app.A::f"),                # fails on the caller
+        CallRecord(UnitKind.CLASS, QualifiedName("lib", "Z::W"), UnitKind.CLASS, odd),
+        CallRecord(UnitKind.CLASS, twin, UnitKind.CLASS, QualifiedName.parse("app.B")),
+        call("app.B::h", "app.A::f"),                # vertex 0 again
+        call("app.A::f", "app.B::g"),                # repeats change nothing
+        CallRecord(UnitKind.CLASS, odd, UnitKind.CLASS, QualifiedName.parse("app.B")),
+        call("app.B::g", "lib.C::x"),                # fails on the callee
+    ])
+
+
+@pytest.mark.parametrize("prefix", ["", "app"], ids=["all", "app"])
+def test_build_graph_matches_the_oracle_on_class_names_holding_the_separator(prefix):
+    """The oracle takes every label holding "::" for a method. build_graph
+    makes a label a class once it stands as a class: either side of a kept
+    class row, or the callee class of a kept call row."""
+    table = odd_table()
+    g = build_graph(table, package_prefix=prefix)
+    want = by_the_rules(table, prefix, False)
+    classes = set()
+    for record in table.records:
+        if not prefix or record.caller.package == record.callee.package == "app":
+            if record.caller_kind is UnitKind.CLASS:
+                classes.update((record.caller.render(), record.callee.render()))
+            else:
+                classes.add(record.callee.class_name)
+    want_kinds = ["class" if label in classes else kind
+                  for label, kind in zip(want.labels, want.kinds)]
+    assert g.labels == want.labels
+    assert g.kinds == want_kinds
+    assert want_kinds != want.kinds
+    assert list(g.edges()) == list(want.edges())
+    assert g.m == want.m
+    assert ("lib.Z::W" in g.labels) == (not prefix)

@@ -1,11 +1,17 @@
 """Name/record types and relation-table serialization."""
 from __future__ import annotations
 
+import pickle
 import random
+import types
 
 import pytest
 
+from classfile_builder import ClassBuilder
+from jarnet.classfile import parse_class
 from jarnet.errors import MalformedRecord
+from jarnet.extractor import classify_callee, extract_calls
+from jarnet.graph import build_graph
 from jarnet.names import (
     CallRecord,
     QualifiedName,
@@ -20,6 +26,52 @@ def test_unit_kind_codes():
     assert [k.value for k in (UnitKind.METHOD, UnitKind.CONSTRUCTOR,
                               UnitKind.INTERFACE, UnitKind.STATIC,
                               UnitKind.CLASS)] == ["M", "O", "I", "S", "C"]
+
+
+def test_unit_kind_keeps_enum_semantics_under_identity_hashing():
+    assert UnitKind("M") is UnitKind.METHOD
+    for kind in UnitKind:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(kind, protocol)) is kind
+    letters = {k: k.value for k in UnitKind}
+    assert list(letters.items()) == [(UnitKind.METHOD, "M"), (UnitKind.CONSTRUCTOR, "O"),
+                                     (UnitKind.INTERFACE, "I"), (UnitKind.STATIC, "S"),
+                                     (UnitKind.CLASS, "C")]
+    assert letters[UnitKind("S")] == "S"
+    assert {UnitKind.CLASS, UnitKind("C"), UnitKind.METHOD} == {UnitKind.METHOD, UnitKind.CLASS}
+    assert UnitKind.CLASS in {UnitKind("C")} and UnitKind.STATIC not in {UnitKind("C")}
+
+
+def _names(code: types.CodeType):
+    """The global and attribute names a code object and its nested code read."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _names(const)
+
+
+@pytest.mark.parametrize("function", [extract_calls, CallRecord.__new__,
+                                      write_relation_table, build_graph],
+                         ids=lambda function: function.__qualname__)
+def test_record_loops_read_kinds_bound_once(function):
+    # Python 3.11 routes UnitKind.X through a slow metaclass hook.
+    assert "UnitKind" not in set(_names(function.__code__))
+
+
+def test_extract_callee_kinds_follow_classify_callee():
+    emitters = {0xB6: "invokevirtual", 0xB7: "invokespecial",
+                0xB8: "invokestatic", 0xB9: "invokeinterface"}
+    cb = ClassBuilder("p/Caller")
+    c = cb.code()
+    want = []
+    for opcode, emit in emitters.items():
+        for name in ("<init>", "run"):
+            getattr(c, emit)("p/Target", name, "()V")
+            want.append(classify_callee(opcode, name))
+    cb.add_method("go", "()V", code=c.return_())
+    records, _ = extract_calls(parse_class(cb.build()))
+    assert [r.callee_kind for r in records if r.caller_kind is not UnitKind.CLASS] == want
+    assert set(want) == set(UnitKind) - {UnitKind.CLASS}
 
 
 def test_from_internal_class_only():
