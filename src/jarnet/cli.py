@@ -54,7 +54,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     stats = table.stats
     print(f"wrote {args.output}: classes={stats.entries_scanned} "
           f"records={len(table.records)} call_sites={stats.call_sites} "
-          f"unresolved={stats.unresolved_sites} "
+          f"unresolved={stats.unresolved_sites} class_refs={stats.class_refs} "
           f"entries_skipped={stats.entries_skipped} "
           f"bad_code_methods={stats.bad_code_methods}")
     return 0

@@ -1,10 +1,11 @@
-"""The ElementTree GEXF importer that the streaming expat
-``jarnet.gexf.import_gexf`` replaced, kept as an oracle.
+"""An ElementTree GEXF importer, kept as the reference for
+``jarnet.gexf.import_gexf``.
 
 It builds the whole element tree, then reads the first ``<graph>`` child
 of the root, its ``<attributes>`` blocks and its first ``<nodes>`` and
-``<edges>`` blocks. The replacement must accept exactly the files this
-code accepts and return equal labels, kinds and edges.
+``<edges>`` blocks. ``import_gexf`` reads only the layout ``export_gexf``
+writes: a file it reads must give this code's labels, kinds and edges,
+and a file this code rejects must be rejected.
 """
 from __future__ import annotations
 

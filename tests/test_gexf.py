@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from jarnet import gexf
 from jarnet.errors import GexfSchemaError
 from jarnet.gexf import _quoteattr, export_gexf, import_gexf
 from jarnet.graph import DirectedGraph, build_graph
@@ -63,6 +64,9 @@ def test_export_is_byte_deterministic(tmp_path):
 
 
 def test_import_foreign_layout(tmp_path):
+    """A graph from another tool is read with that tool, copied into a
+    DirectedGraph and written with export_gexf, as the README shows."""
+    nx = pytest.importorskip("networkx")
     foreign = """<?xml version="1.0"?>
 <gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">
   <graph defaultedgetype="directed">
@@ -77,23 +81,18 @@ def test_import_foreign_layout(tmp_path):
 </gexf>"""
     path = tmp_path / "foreign.gexf"
     path.write_text(foreign)
-    g = import_gexf(path)
+    with pytest.raises(GexfSchemaError, match="not a GEXF file in the layout"):
+        import_gexf(path)
+    h = nx.read_gexf(path)
+    g = DirectedGraph()
+    ids = {node: g.add_vertex(data.get("label", node)) for node, data in h.nodes(data=True)}
+    for u, v in h.edges():
+        g.add_edge(ids[u], ids[v])
+    export_gexf(g, tmp_path / "graph.gexf")
+    g = import_gexf(tmp_path / "graph.gexf")
     assert g.labels == ["x.One::run", "x.Two"]
     assert g.kinds == ["method", "class"]  # derived from the separator
     assert list(g.edges()) == [(0, 1)]
-
-
-def test_import_undirected_doubles_edges(tmp_path):
-    text = """<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">
-  <graph defaultedgetype="undirected">
-    <nodes><node id="0" label="a"/><node id="1" label="b"/></nodes>
-    <edges><edge source="0" target="1"/></edges>
-  </graph>
-</gexf>"""
-    path = tmp_path / "u.gexf"
-    path.write_text(text)
-    g = import_gexf(path)
-    assert sorted(g.edges()) == [(0, 1), (1, 0)]
 
 
 def test_import_rejects_unknown_endpoint(tmp_path):
@@ -176,3 +175,32 @@ def test_export_quotes_each_label_and_kind_as_saxutils(label, tmp_path):
         quoteattr(label), quoteattr("method")]
     h = import_gexf(path)
     assert (h.labels, h.kinds) == ([label, plain], [label, "method"])
+
+
+# Characters a node or kind line leaves for the text of its quoted value.
+LINE_ROOM = {"label": gexf._MAX_LINE - len('      <node id="0" label="">\n'),
+             "kind": gexf._MAX_LINE - len('          <attvalue for="0" value=""/>\n')}
+
+
+@pytest.mark.parametrize("field", LINE_ROOM)
+@pytest.mark.parametrize("char, width", [("B", 1), ("&", len("&amp;"))])
+def test_export_refuses_a_line_longer_than_import_reads(field, char, width, tmp_path):
+    """Every file export_gexf writes reads back: a value whose line is at
+    the reader's bound round-trips, and one character more raises
+    GexfSchemaError before the file is opened."""
+    def one_vertex(value) -> DirectedGraph:
+        g = DirectedGraph()
+        g.add_vertex(value if field == "label" else "p.A")
+        if field == "kind":
+            g.kinds[0] = value
+        return g
+
+    fits = char * (LINE_ROOM[field] // width)
+    g, path = one_vertex(fits), tmp_path / "fits.gexf"
+    export_gexf(g, path)
+    back = import_gexf(path)
+    assert (back.labels, back.kinds) == (g.labels, g.kinds)
+    over = tmp_path / "over.gexf"
+    with pytest.raises(GexfSchemaError, match=r"vertex 0 .* import_gexf reads 65536$"):
+        export_gexf(one_vertex(fits + char), over)
+    assert not over.exists()

@@ -1,21 +1,19 @@
-"""The streaming expat GEXF importer against the ElementTree oracle.
+"""The GEXF line reader against the ElementTree oracle.
 
-``gexf_oracle`` holds the importer it replaced. On exported graphs and on
-hand-written layouts both must give equal labels, kinds and edges. On
-seeded byte mutations and truncations the new importer must accept exactly
-the files the oracle accepts, with equal output, and reject the rest with a
-GexfSchemaError and nothing else. The line reader of export_gexf's own
-layout must be the path taken for exported files, give the expat path's
-graph, and leave near-layout and mutated files with the oracle's outcome.
+``import_gexf`` reads only the layout ``export_gexf`` writes, and
+``gexf_oracle`` is its reference. On exported graphs both give equal
+labels, kinds and edges. Any other file, hand-written, near the layout,
+mutated or truncated, either reads to the oracle's exact graph or raises
+GexfSchemaError and nothing else, and every file the oracle rejects is
+rejected. A hand-written layout reads as the oracle reads it once the
+oracle's graph is written with ``export_gexf``.
 """
 from __future__ import annotations
 
 import random
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from unittest.mock import Mock
 
-import numpy as np
 import pytest
 
 import gexf_oracle as oracle
@@ -41,8 +39,7 @@ def new_outcome(path) -> tuple:
 
 def oracle_outcome(path) -> tuple:
     # ElementTree lets an unknown or multi-byte encoding declaration escape
-    # as LookupError or ValueError; the new importer reports those as
-    # GexfSchemaError, so they count as rejections here.
+    # as LookupError or ValueError; they count as rejections here.
     return outcome(oracle.import_gexf, path, (GexfSchemaError, LookupError, ValueError))
 
 
@@ -175,37 +172,18 @@ DOCUMENTS = {
 
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_hand_written_layouts_import_as_the_oracle_does(name, tmp_path):
+    """Read directly, a hand-written layout is rejected; the graph the
+    oracle reads from it, written by export_gexf, reads back unchanged."""
     text, accepted = DOCUMENTS[name]
     path = tmp_path / f"{name}.gexf"
     path.write_text(text, encoding="utf-8")
-    ours = new_outcome(path)
-    assert ours == oracle_outcome(path)
-    assert ours[0] == ("accepted" if accepted else "rejected")
-
-
-def test_layout_semantics(tmp_path):
-    """Spot checks of what the oracle comparison above takes as given."""
-    def load(name):
-        path = tmp_path / f"{name}.gexf"
-        path.write_text(DOCUMENTS[name][0], encoding="utf-8")
-        return import_gexf(path)
-
-    g = load("undirected_default_and_edge_types")
-    assert list(g.edges()) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)]
-    assert load("attributes_after_nodes").kinds == ["method", "class"]
-    assert load("repeated_attvalues").kinds == ["last"]
-    assert load("later_kind_declaration_wins").kinds == ["one"]
-    g = load("second_graph_nodes_and_edges_ignored")
-    assert (g.labels, list(g.edges())) == (["a", "b"], [(0, 1)])
-    assert list(load("edges_before_nodes").edges()) == [(0, 1), (0, 2), (2, 0)]
-    g = load("node_without_label")
-    assert (g.labels, g.kinds) == (["pkg.K::m", "n2"], ["method", "class"])
-    g = load("misplaced_known_elements")
-    assert (g.labels, g.kinds, list(g.edges())) == (["a", "b"], ["k", "class"], [(0, 1)])
-    g = load("prefixed_namespace")
-    assert (g.labels, list(g.edges())) == (["a", "B"], [(0, 1)])
-    with pytest.raises(GexfSchemaError, match=r"\(undefined entity &undefined;: line 1\)$"):
-        load("undefined_entity_with_external_subset")
+    assert new_outcome(path) == ("rejected",)
+    theirs = oracle_outcome(path)
+    assert theirs[0] == ("accepted" if accepted else "rejected")
+    if accepted:
+        exported = tmp_path / "exported.gexf"
+        export_gexf(oracle.import_gexf(path), exported)
+        assert new_outcome(exported) == theirs
 
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
@@ -234,60 +212,29 @@ def test_fuzzed_files_accepted_and_imported_exactly_as_the_oracle_does(tmp_path)
         data = mutate(rng.choice(seeds), rng)
         path.write_bytes(data)
         ours = new_outcome(path)
-        assert ours == oracle_outcome(path), (trial, data)
+        assert ours in (("rejected",), oracle_outcome(path)), (trial, data)
         verdicts[ours[0]] += 1
-    assert min(verdicts.values()) > 300, verdicts
+    # Only a mutation of the exported seed that keeps its layout reads:
+    # 22 of the 3000 trials.
+    assert min(verdicts.values()) > 0, verdicts
 
 
-# -- the line reader of export_gexf's own layout ---------------------------------
+# -- files near export_gexf's own layout ------------------------------------------
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sample_graph.gexf"
 
 
-@pytest.fixture
-def reader_results(monkeypatch):
-    """Each graph, or None, that the line reader returned, in call order."""
-    results, read_layout = [], gexf._read_layout
-
-    def counted(path):
-        results.append(read_layout(path))
-        return results[-1]
-
-    monkeypatch.setattr(gexf, "_read_layout", counted)
-    return results
-
-
-def test_reader_is_taken_for_exported_files(tmp_path, monkeypatch):
-    jar = tmp_path / "app.jar"
-    jar.write_bytes(synthetic_jar(n_classes=60, seed=7))
-    synthetic = tmp_path / "synthetic.gexf"
-    export_gexf(build_graph(extract_archive(jar), package_prefix="app"), synthetic)
-    # Labels holding every character _quoteattr escapes, and both quotes.
-    odd = tmp_path / "odd.gexf"
-    export_gexf(odd_labels_graph(), odd)
-    for path in (synthetic, odd, GOLDEN):
-        with monkeypatch.context() as patch:
-            patch.setattr(gexf, "_read_layout", lambda _path: None)
-            parsed = import_gexf(path)
-        with monkeypatch.context() as patch:
-            patch.setattr(gexf.expat, "ParserCreate", Mock(side_effect=AssertionError))
-            read = import_gexf(path)
-        assert read.add_vertex(read.labels[0]) == 0  # not frozen
-        assert (read.labels, read.kinds) == (parsed.labels, parsed.kinds)
-        for reverse in (False, True):
-            for ours, theirs in zip(read.to_csr(reverse), parsed.to_csr(reverse)):
-                assert np.array_equal(ours, theirs)
-
-
-def test_fuzzed_exported_files_read_as_the_oracle_does(tmp_path, reader_results):
+def test_fuzzed_exported_files_read_as_the_oracle_does(tmp_path):
     data, rng = GOLDEN.read_bytes(), random.Random(99)
     path = tmp_path / "fuzz.gexf"
+    accepted = 0
     for trial in range(1500):
         mutated = mutate(data, rng)
         path.write_bytes(mutated)
-        assert new_outcome(path) == oracle_outcome(path), (trial, mutated)
-    taken = sum(g is not None for g in reader_results)
-    assert 0 < taken < len(reader_results) == 1500, taken
+        ours = new_outcome(path)
+        assert ours in (("rejected",), oracle_outcome(path)), (trial, mutated)
+        accepted += ours[0] == "accepted"
+    assert 0 < accepted < 1500, accepted
 
 
 def near_layout_base() -> str:
@@ -312,7 +259,7 @@ def isolated(*labels: str) -> DirectedGraph:
 
 LONG_ID = "9" * 5000
 NODE_BLOCK_END = "      </node>\n"
-# name -> (file text from the base layout, whether the line reader takes it)
+# name -> (file text from the base layout, whether import_gexf reads it)
 NEAR_LAYOUT = {
     "crlf": (lambda t: t.replace("\n", "\r\n"), False),
     "bom": (lambda t: "\ufeff" + t, False),
@@ -350,12 +297,13 @@ NEAR_LAYOUT = {
 
 
 @pytest.mark.parametrize("name", NEAR_LAYOUT)
-def test_near_layout_files_read_as_the_oracle_does(name, tmp_path, reader_results):
-    edit, taken = NEAR_LAYOUT[name]
+def test_near_layout_files_read_as_the_oracle_does(name, tmp_path):
+    edit, read = NEAR_LAYOUT[name]
     path = tmp_path / f"{name}.gexf"
     path.write_bytes(edit(near_layout_base()).encode("utf-8"))
-    assert new_outcome(path) == oracle_outcome(path)
-    assert [g is not None for g in reader_results] == [taken]
+    ours = new_outcome(path)
+    assert ours == (oracle_outcome(path) if read else ("rejected",))
+    assert ours[0] == ("accepted" if read else "rejected")
 
 
 @pytest.mark.parametrize("newlines", ["none", "header_only"])
@@ -383,11 +331,8 @@ def test_reader_never_reads_a_file_with_few_newlines_whole(newlines, tmp_path, m
             lines.append(self.fh.readline(size))
             return lines[-1]
 
-        def read(self, size=-1):  # expat's
-            return self.fh.read(size)
-
     monkeypatch.setattr(gexf, "open", Recorded, raising=False)
-    assert new_outcome(path) == oracle_outcome(path)
+    assert new_outcome(path) == ("rejected",)
     if newlines == "none":
         assert lines == [gexf._HEAD[0][:-1] + "<"]
     else:

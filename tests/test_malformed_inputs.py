@@ -11,6 +11,7 @@ import pytest
 
 from classfile_builder import make_jar, synthetic_jar
 from jarnet.gexf import export_gexf, import_gexf
+from jarnet.graph import DirectedGraph
 
 from test_classfile import BAD_HEADER_INDEXES, with_header
 from test_report_cli import run
@@ -135,26 +136,13 @@ def test_mutated_inputs_exit_0_or_2(tmp_path, capsys, step):
         assert "internal error" not in err, (i, err)
 
 
-GEXF_WITH_ODD_KINDS = """<?xml version="1.0" encoding="UTF-8"?>
-<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">
-  <graph defaultedgetype="directed">
-    <attributes class="node"><attribute id="k" title="kind" type="string"/></attributes>
-    <nodes>
-      <node id="a" label="p.A"><attvalues><attvalue for="k" value="a&quot;b&amp;c&lt;d&gt;"/></attvalues></node>
-      <node id="b" label="p.B"><attvalues><attvalue for="k" value='both " and &apos;'/></attvalues></node>
-      <node id="c" label="p.C::m"><attvalues><attvalue for="k" value="tab&#9;line&#10;"/></attvalues></node>
-    </nodes>
-    <edges><edge source="a" target="b"/><edge source="b" target="c"/></edges>
-  </graph>
-</gexf>
-"""
-
-
 def test_gexf_kinds_with_markup_round_trip(tmp_path):
-    source = tmp_path / "odd.gexf"
-    source.write_text(GEXF_WITH_ODD_KINDS, encoding="utf-8")
-    g = import_gexf(source)
-    assert g.kinds == ['a"b&c<d>', "both \" and '", "tab\tline\n"]
+    g = DirectedGraph()
+    for label in ("p.A", "p.B", "p.C::m"):
+        g.add_vertex(label)
+    g.kinds[:] = ['a"b&c<d>', "both \" and '", "tab\tline\n"]
+    g.add_edge(0, 1)
+    g.add_edge(1, 2)
     first, second = tmp_path / "first.gexf", tmp_path / "second.gexf"
     export_gexf(g, first)
     back = import_gexf(first)

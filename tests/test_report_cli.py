@@ -211,6 +211,17 @@ def test_build_label_xml_cannot_carry_exits_2(tmp_path, capsys):
         assert not gexf.exists()
 
 
+def test_build_label_longer_than_a_gexf_line_exits_2(tmp_path, capsys):
+    table = tmp_path / "long.csv"
+    table.write_text("caller_kind,caller,callee_kind,callee\n"
+                     f"M,app.A::m,M,app.B::{'x' * (1 << 16)}\n", encoding="utf-8")
+    gexf = tmp_path / "long.gexf"
+    code, _, err = run(["build", str(table), "-o", str(gexf)], capsys)
+    assert code == 2, err
+    assert f"{gexf}: vertex 2 (label starting 'app.B::xxx" in err and "import_gexf reads" in err
+    assert not gexf.exists()
+
+
 # -- analyze ------------------------------------------------------------------
 
 def _triangle_gexf(tmp_path):
@@ -423,12 +434,11 @@ def test_analyze_one_vertex_graph_reports_degenerate_stages(tmp_path, capsys):
 
 @pytest.mark.parametrize("paths", [[], ["--sampled-paths", "1"]])
 def test_analyze_edgeless_graph_reports_degenerate_small_world(tmp_path, capsys, paths):
+    g = DirectedGraph()
+    for label in ("t.A", "t.B"):
+        g.add_vertex(label)
     gexf = tmp_path / "edgeless.gexf"
-    gexf.write_text("""<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">
-  <graph defaultedgetype="directed">
-    <nodes><node id="0" label="t.A"/><node id="1" label="t.B"/></nodes>
-  </graph>
-</gexf>""", encoding="utf-8")
+    export_gexf(g, gexf)
     out = tmp_path / "r.json"
     assert run(["analyze", str(gexf), "-o", str(out), *paths], capsys)[0] == 0
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -444,6 +454,33 @@ def test_analyze_zero_vertex_graph_exits_2(tmp_path, capsys):
     code, _, stderr = run(["analyze", str(gexf), "-o", str(out)], capsys)
     assert code == 2
     assert "degree statistics need at least one vertex" in stderr
+    assert not out.exists()
+
+
+def _networkx_gexf(_text, path):
+    nx = pytest.importorskip("networkx")
+    nx.write_gexf(nx.DiGraph([("t.A", "t.B")]), path)
+
+
+# form -> a writer of a file build did not write, given the triangle's export
+NOT_BUILDS_GEXF = {
+    "networkx": _networkx_gexf,
+    "truncated_mid_edge": lambda text, path: path.write_text(
+        text[:text.index('<edge id="3"') + 20], encoding="utf-8"),
+    "crlf": lambda text, path: path.write_bytes(text.replace("\n", "\r\n").encode()),
+    "over_1_mib_without_newline": lambda text, path: path.write_text(
+        text.replace("\n", "") + " " * (1 << 20), encoding="utf-8"),
+}
+
+
+@pytest.mark.parametrize("form", NOT_BUILDS_GEXF)
+def test_analyze_gexf_build_did_not_write_exits_2(tmp_path, capsys, form):
+    bad = tmp_path / "bad.gexf"
+    NOT_BUILDS_GEXF[form](_triangle_gexf(tmp_path).read_text(encoding="utf-8"), bad)
+    out = tmp_path / "r.json"
+    code, _, stderr = run(["analyze", str(bad), "-o", str(out)], capsys)
+    assert code == 2, stderr
+    assert f"error: {bad}: not a GEXF file in the layout that 'jarnet build' writes" in stderr
     assert not out.exists()
 
 
@@ -616,7 +653,7 @@ def test_cli_import_leaves_out_network_and_thread_pool_modules():
 @pytest.mark.usefixtures("src_on_pythonpath")
 def test_cli_import_leaves_out_dataclasses_and_hashlib():
     probe = ("import sys, jarnet.cli; print(sorted(m for m in ('dataclasses', 'inspect', "
-             "'hashlib') if m in sys.modules))")
+             "'hashlib', 'pyexpat') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
