@@ -1,9 +1,13 @@
-"""numpy, bound lazily: it loads on the first attribute read of ``np``.
+"""Modules bound lazily: each loads on the first read of one of its attributes.
 
 ``extract``, ``build`` and ``report`` build no array, so they start
 without numpy. Modules take ``np`` from here; ``import numpy as np`` would
 read the lazy module's ``__spec__`` and so load it at once. A missing
 numpy still fails here, at ``import jarnet``.
+
+The package binds its submodules the same way: ``from . import x`` binds
+one without loading it; ``import jarnet.x``, ``from jarnet.x import y`` and
+any attribute read load it at once.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import importlib.util
 import sys
 
 
-def _lazy_import(name: str):
+def lazy_import(name: str):
     module = sys.modules.get(name)
     if module is not None:
         return module
@@ -26,4 +30,4 @@ def _lazy_import(name: str):
     return module
 
 
-np = _lazy_import("numpy")
+np = lazy_import("numpy")

@@ -10,21 +10,10 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, _kernels, centrality, community, extractor, gexf, graph, metrics, \
+    names, report, topology
+from ._lazy import np
 from .errors import JarnetError
-from .extractor import extract_archive
-from .gexf import export_gexf, import_gexf
-from .graph import build_graph
-from .names import read_relation_table, write_relation_table
-from .report import (
-    MEASURES,
-    STAGES,
-    analyze_graph,
-    render_csv,
-    render_table,
-    sha256_file,
-    write_plot_data,
-)
 
 
 def _write_output(text: str, destination: str) -> None:
@@ -33,6 +22,17 @@ def _write_output(text: str, destination: str) -> None:
     else:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+class _ReportNames:
+    """``report.<attr>`` as argparse choices. They are read only when a value
+    is checked or help is shown, so building the parser loads no ``report``."""
+
+    def __init__(self, attr: str):
+        self.attr = attr
+
+    def __iter__(self):
+        return iter(getattr(report, self.attr))
 
 
 def _int_at_least(low: int):
@@ -48,9 +48,9 @@ def _int_at_least(low: int):
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    table = extract_archive(args.archive, tolerant=args.tolerant)
-    write_relation_table(table, args.output, format=args.format,
-                         with_descriptors=args.descriptors)
+    table = extractor.extract_archive(args.archive, tolerant=args.tolerant)
+    names.write_relation_table(table, args.output, format=args.format,
+                               with_descriptors=args.descriptors)
     stats = table.stats
     print(f"wrote {args.output}: classes={stats.entries_scanned} "
           f"records={len(table.records)} call_sites={stats.call_sites} "
@@ -61,13 +61,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    table = read_relation_table(args.table)
-    graph = build_graph(table, package_prefix=args.prefix,
-                        with_descriptors=args.descriptors)
-    export_gexf(graph, args.output)
+    table = names.read_relation_table(args.table)
+    g = graph.build_graph(table, package_prefix=args.prefix,
+                          with_descriptors=args.descriptors)
+    gexf.export_gexf(g, args.output)
     shown = args.prefix if args.prefix else "(none)"
-    print(f"wrote {args.output}: vertices={graph.n} edges={graph.m} "
-          f"prefix={shown}")
+    print(f"wrote {args.output}: vertices={g.n} edges={g.m} prefix={shown}")
     return 0
 
 
@@ -75,16 +74,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     skip = tuple(dict.fromkeys(args.skip or ()))
     if args.plots:  # made first, so a DIR that cannot be one fails at once
         os.makedirs(args.plots, exist_ok=True)
+    # Every module the step runs, then numpy, loads before the graph is read:
+    # loaded while its arrays are live, they raise the step's peak RSS.
+    for module in (metrics, centrality, community, topology, _kernels, gexf, report, np):
+        module.__name__  # noqa: B018 - an attribute read loads a lazy module
     # No name holds the graph, so it is freed before the digest loads OpenSSL.
-    result = analyze_graph(import_gexf(args.gexf), seed=args.seed,
-                           replicates=args.replicates, top=args.top,
-                           sample_sources=args.sampled_paths, skip=skip)
+    result = report.analyze_graph(gexf.import_gexf(args.gexf), seed=args.seed,
+                                  replicates=args.replicates, top=args.top,
+                                  sample_sources=args.sampled_paths, skip=skip)
     provenance = {
         "tool": "jarnet",
         "version": __version__,
         "input": {
             "path": str(args.gexf),
-            "sha256": sha256_file(args.gexf),
+            "sha256": report.sha256_file(args.gexf),
             "bytes": os.path.getsize(args.gexf),
         },
         "seed": args.seed,
@@ -96,29 +99,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         },
         "skipped": list(skip),
     }
-    report = {"format": "jarnet-analysis/1", "provenance": provenance}
-    report.update(result.sections)
-    _write_output(json.dumps(report, indent=2, ensure_ascii=False) + "\n",
-                  args.output)
+    doc = {"format": "jarnet-analysis/1", "provenance": provenance}
+    doc.update(result.sections)
+    _write_output(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", args.output)
     if args.plots:
-        write_plot_data(result, args.plots)
+        report.write_plot_data(result, args.plots)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+            doc = json.load(fh)
     # ValueError covers bad JSON, bad UTF-8 and ints over the digit limit.
     except (ValueError, RecursionError) as exc:
         raise JarnetError(f"{args.report}: not a valid report file: {exc}") \
             from exc
-    if not isinstance(report, dict):
+    if not isinstance(doc, dict):
         raise JarnetError(f"{args.report}: not a valid report file")
     if args.format == "table":
-        text = render_table(report)
+        text = report.render_table(doc)
     else:
-        text = render_csv(report, measure=args.measure)
+        text = report.render_csv(doc, measure=args.measure)
     _write_output(text, args.output)
     return 0
 
@@ -178,10 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="K", default=None,
                            help="estimate path statistics from K seeded "
                                 "sources (default: every vertex is a source)")
-    p_analyze.add_argument("--skip", action="append", choices=STAGES,
+    p_analyze.add_argument("--skip", action="append", choices=_ReportNames("STAGES"),
                            default=None, metavar="STAGE",
-                           help=f"skip a stage ({', '.join(STAGES)}); "
-                                "repeatable")
+                           help="skip a stage (%(choices)s); repeatable")
     p_analyze.add_argument("--plots", default=None, metavar="DIR",
                            help="also write plot-data CSV files here")
     p_analyze.set_defaults(func=_cmd_analyze)
@@ -193,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output file ('-' for stdout)")
     p_report.add_argument("--format", choices=("table", "csv"),
                           default="table")
-    p_report.add_argument("--measure", choices=MEASURES, default="summary",
-                          help="which measure a CSV rendering shows")
+    p_report.add_argument("--measure", choices=_ReportNames("MEASURES"),
+                          default="summary", metavar="MEASURE",
+                          help="which measure a CSV rendering shows (%(choices)s)")
     p_report.set_defaults(func=_cmd_report)
     return parser
 

@@ -12,29 +12,17 @@ import io
 import os
 from typing import NamedTuple
 
+from . import centrality, community, graph, metrics, topology
 from ._lazy import np
-from .centrality import CentralityVector, betweenness, pagerank, top_k
-from .community import community_size_distribution, louvain
 from .errors import DegenerateGraph, DegenerateHistogram, JarnetError
-from .graph import DirectedGraph
-from .metrics import avg_clustering, components, degrees, shortest_path_stats
-from .topology import DegreeHistogram, degree_histogram, fit_power_law, small_world_test
 
-__all__ = [
-    "MEASURES",
-    "STAGES",
-    "AnalysisResult",
-    "analyze_graph",
-    "render_table",
-    "render_csv",
-    "write_plot_data",
-    "sha256_file",
-]
+__all__ = ["MEASURES", "STAGES", "AnalysisResult", "analyze_graph", "render_table",
+           "render_csv", "write_plot_data", "sha256_file"]
 
 
 class AnalysisResult(NamedTuple):
     sections: dict
-    histograms: dict[str, DegreeHistogram] = {}  # never written: shared safely
+    histograms: dict[str, topology.DegreeHistogram] = {}  # never written: shared safely
     community_sizes: list[int] | None = None
 
 
@@ -48,15 +36,15 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _ranked(run: _Run, vector: CentralityVector) -> list[dict]:
+def _ranked(run: _Run, vector: centrality.CentralityVector) -> list[dict]:
     return [{"rank": i, "label": label, "score": score}
-            for i, (label, score) in enumerate(top_k(vector, run.top), start=1)]
+            for i, (label, score) in enumerate(centrality.top_k(vector, run.top), start=1)]
 
 
 class _Run(NamedTuple):
     """The options of one analysis and the pieces its stages have returned."""
 
-    g: DirectedGraph
+    g: graph.DirectedGraph
     seed: int
     replicates: int
     top: int
@@ -76,41 +64,41 @@ def _guarded(fn, *args):
 # of the report, reading an earlier stage's result as that stage's piece.
 # The piece is a stage's only output: the report's ``incomplete`` and the
 # plot data's community sizes are read from the pieces after the last stage.
-# Bodies call the analysis functions by module-global name, so a wrapper
-# rebound on this module (as the benchmark's tracer does) sees the call.
+# Bodies read each analysis function off its defining module at call time,
+# so a wrapper rebound there (as the benchmark's tracer does) sees the call.
 _SKIPPABLE = {
-    "paths": lambda run: {mode: shortest_path_stats(run.g, mode=mode, seed=run.seed,
-                                                    sample_sources=run.sample_sources)
+    "paths": lambda run: {mode: metrics.shortest_path_stats(
+        run.g, mode=mode, seed=run.seed, sample_sources=run.sample_sources)
                           for mode in ("directed", "undirected")},
-    "betweenness": lambda run: _ranked(run, betweenness(run.g)),
-    "communities": lambda run: (part := louvain(run.g, seed=run.seed),
-                                community_size_distribution(part, top=run.top)),
+    "betweenness": lambda run: _ranked(run, centrality.betweenness(run.g)),
+    "communities": lambda run: (part := community.louvain(run.g, seed=run.seed),
+                                community.community_size_distribution(part, top=run.top)),
     # A skipped paths piece has no "undirected"; small_world_test computes it.
-    "smallworld": lambda run: _guarded(lambda: small_world_test(
+    "smallworld": lambda run: _guarded(lambda: topology.small_world_test(
         run.g, replicates=run.replicates, seed=run.seed, sample_sources=run.sample_sources,
         c_real=run.pieces["clustering"],
         real_paths=run.pieces["paths"].get("undirected"))._asdict()),
-    "powerlaw": lambda run: {which: _guarded(lambda h: fit_power_law(h)._asdict(), hist)
+    "powerlaw": lambda run: {which: _guarded(lambda h: topology.fit_power_law(h)._asdict(), hist)
                              for which, hist in run.pieces["histograms"].items()},
 }
 STAGES = tuple(_SKIPPABLE)
 # The order decides the first EmptyGraph raised, where the analysis peaks in
 # memory, and the order of a tracer's spans.
 _TABLE = {
-    "degrees": lambda run: degrees(run.g),
-    "components": lambda run: components(run.g),
-    "histograms": lambda run: {which: degree_histogram(run.g, which=which)
+    "degrees": lambda run: metrics.degrees(run.g),
+    "components": lambda run: metrics.components(run.g),
+    "histograms": lambda run: {which: topology.degree_histogram(run.g, which=which)
                                for which in ("total", "in", "out")},
-    "clustering": lambda run: avg_clustering(run.g),
+    "clustering": lambda run: metrics.avg_clustering(run.g),
     **_SKIPPABLE,
-    "degree_ranking": lambda run: _ranked(run, CentralityVector(
+    "degree_ranking": lambda run: _ranked(run, centrality.CentralityVector(
         list(run.g.labels), run.pieces["degrees"].total_degrees.astype(np.float64))),
-    "pagerank": lambda run: _ranked(run, pagerank(run.g)),
+    "pagerank": lambda run: _ranked(run, centrality.pagerank(run.g)),
 }
 
 
 def analyze_graph(
-    g: DirectedGraph,
+    g: graph.DirectedGraph,
     *,
     seed: int = 0,
     replicates: int = 5,

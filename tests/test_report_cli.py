@@ -320,7 +320,7 @@ def test_analyze_frees_the_graph_before_the_digest(sample_jar, tmp_path, capsys,
     # The digest loads OpenSSL and reads the input; a graph still alive then
     # adds its CSR to the step's peak RSS. No gc.collect(): reference counts
     # alone must free it.
-    from jarnet import cli
+    from jarnet import gexf as gexf_module, report
     from jarnet.report import sha256_file
 
     gexf = _extract_and_build(sample_jar, tmp_path, capsys)
@@ -336,8 +336,8 @@ def test_analyze_frees_the_graph_before_the_digest(sample_jar, tmp_path, capsys,
         dead_at_digest.append(indices[0]() is None)
         return sha256_file(path)
 
-    monkeypatch.setattr(cli, "import_gexf", importing)
-    monkeypatch.setattr(cli, "sha256_file", digesting)
+    monkeypatch.setattr(gexf_module, "import_gexf", importing)
+    monkeypatch.setattr(report, "sha256_file", digesting)
     out = tmp_path / "r.json"
     assert run(["analyze", str(gexf), "-o", str(out)], capsys)[0] == 0
     assert dead_at_digest == [True]
